@@ -22,7 +22,7 @@ from .validity import (
     HANDLER_AND, HANDLER_KINDS, HANDLER_ORACLE, HANDLER_PARTIAL_DOWN,
     HANDLER_PARTIAL_UP, ConjunctionHandler, OracleHandler, PartialValidityBdd,
     QuantOrder, TraversalHandler, ValidityHandler,
-    build_handler, build_partial_bdd, check_and, check_traverse, oracle_check,
+    build_handler, build_partial_bdd,
 )
 
 __version__ = "0.1.0"

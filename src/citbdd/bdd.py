@@ -115,6 +115,7 @@ class BddManager:
 
     def _apply(self, op: Op, a: int, b: int) -> int:
         if op is Op.AND:
+            tag = "and"
             if a == FALSE or b == FALSE:
                 return FALSE
             if a == TRUE:
@@ -126,6 +127,7 @@ class BddManager:
             if a > b:
                 a, b = b, a
         elif op is Op.OR:
+            tag = "or"
             if a == TRUE or b == TRUE:
                 return TRUE
             if a == FALSE:
@@ -137,6 +139,7 @@ class BddManager:
             if a > b:
                 a, b = b, a
         elif op is Op.XOR:
+            tag = "xor"
             if a == b:
                 return FALSE
             if a == FALSE:
@@ -150,6 +153,7 @@ class BddManager:
             if a > b:
                 a, b = b, a
         else:  # Op.IMPLIES
+            tag = "implies"
             if a == FALSE or b == TRUE:
                 return TRUE
             if a == TRUE:
@@ -158,7 +162,10 @@ class BddManager:
                 return self._negate(a)
             if a == b:
                 return TRUE
-        key = (op, a, b)
+        # Keys of str and int only: the garbage collector untracks them, so
+        # full collections do not walk the cache, and hashing them runs
+        # no Python code (an Op member would be hashed by Enum.__hash__).
+        key = (tag, a, b)
         res = self._cache.get(key)
         if res is not None:
             return res

@@ -111,13 +111,13 @@ def cmd_generate(model_path: str, t: int, handler_kind: str, fill: bool,
                  out_path: Optional[str], indices: bool = False) -> int:
     try:
         model = _load_model(model_path)
-    except (OSError, ModelError) as exc:
+    except (OSError, ModelError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         handler = build_handler(model, handler_kind)
         suite = generate(model, t, handler, fill_dashes=fill)
-    except (ValueError, ResourceLimitError, MemoryError) as exc:
+    except (ValueError, ResourceLimitError, MemoryError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if suite.diagnostic:
@@ -136,13 +136,13 @@ def cmd_verify(model_path: str, suite_path: str, t: int,
         model = _load_model(model_path)
         with open(suite_path, "r", encoding="utf-8", newline="") as fh:
             rows = read_suite_csv(model, fh)
-    except (OSError, ModelError, ValueError) as exc:
+    except (OSError, ModelError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         handler = build_handler(model, handler_kind)
         report = verify(model, rows, t, handler)
-    except (ValueError, ResourceLimitError, MemoryError) as exc:
+    except (ValueError, ResourceLimitError, MemoryError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.describe(model))
@@ -237,7 +237,7 @@ def cmd_bench(model_dir: str, t: int, handler_kinds: Sequence[str],
     for path in paths:
         try:
             model = _load_model(str(path))
-        except (OSError, ModelError) as exc:
+        except (OSError, ModelError, RecursionError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
         for kind in handler_kinds:

@@ -56,10 +56,6 @@ class Encoding:
     dropped: frozenset[int]   # parameters absent from every constraint
     n_params: int
 
-    def bit_range(self, param: int) -> range:
-        pos = self.order.index(param)
-        return range(self.offsets[pos], self.offsets[pos] + self.widths[pos])
-
 
 def constrained_params(model: SutModel) -> frozenset[int]:
     """Indices of the parameters occurring in at least one constraint."""

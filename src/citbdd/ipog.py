@@ -6,7 +6,12 @@ time: horizontal growth extends each existing row with the value that
 covers the most still-uncovered combinations, and vertical growth merges
 each leftover combination into a compatible row or appends it as a new
 partial row.  Every candidate row is validity-checked through the supplied
-handler, so rows never violate the model constraints.
+handler's ``is_valid``, so rows never violate the model constraints.
+
+Uncovered combinations are kept in insertion order, keyed by a subset of
+the placed parameters, in placement order as ``combinations`` yields it,
+and the values; horizontal growth builds each subset's value prefix once
+per row.
 
 Rows may keep unspecified positions; ``fill_dashes`` completes them with
 the smallest values that keep each row valid.  ``verify`` independently
@@ -75,9 +80,12 @@ def skip_unconstrained_check(handler: ValidityHandler,
     return all(v is None or p in dropped for p, v in enumerate(combo))
 
 
-def _combo_key(params: Sequence[int], row: Sequence[Optional[int]]) -> Combo:
-    ordered = tuple(sorted(params))
-    return ordered, tuple(row[p] for p in ordered)
+def _row(n: int, params: Sequence[int], values: Sequence[int]) -> list[Optional[int]]:
+    """A row of ``n`` unspecified positions with ``params`` set to ``values``."""
+    row: list[Optional[int]] = [None] * n
+    for p, v in zip(params, values):
+        row[p] = v
+    return row
 
 
 def generate(model: SutModel, t: int, handler: ValidityHandler,
@@ -108,9 +116,7 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
     rows: list[list[Optional[int]]] = []
     first = order[:t]
     for values in product(*(range(sizes[p]) for p in first)):
-        row: list[Optional[int]] = [None] * n
-        for p, v in zip(first, values):
-            row[p] = v
+        row = _row(n, first, values)
         if valid(row):
             rows.append(row)
 
@@ -118,21 +124,21 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
         p_new = order[idx]
         placed = order[:idx]
 
-        # Valid t-way combinations involving the new parameter.
+        # Valid t-way combinations involving the new parameter, keyed by
+        # (subset, values): ``subset`` is t-1 placed parameters in
+        # placement order, ``values`` their values followed by p_new's.
         pending: dict[Combo, None] = {}
         for subset in combinations(placed, t - 1):
-            combo_params = subset + (p_new,)
-            for values in product(*(range(sizes[p]) for p in combo_params)):
-                row = [None] * n
-                for p, v in zip(combo_params, values):
-                    row[p] = v
-                if valid(row):
-                    pending[_combo_key(combo_params, row)] = None
+            params = subset + (p_new,)
+            for values in product(*(range(sizes[p]) for p in params)):
+                if valid(_row(n, params, values)):
+                    pending[subset, values] = None
 
         # Horizontal growth: extend every row with the best valid value.
         for row in rows:
-            fixed_subsets = [s for s in combinations(placed, t - 1)
-                             if all(row[q] is not None for q in s)]
+            fixed = [q for q in placed if row[q] is not None]
+            prefixes = [(s, tuple(row[q] for q in s))
+                        for s in combinations(fixed, t - 1)]
             best_v = None
             best_cov = -1
             best_covered: list[Combo] = []
@@ -140,11 +146,8 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
                 row[p_new] = v
                 if not valid(row):
                     continue
-                covered = []
-                for s in fixed_subsets:
-                    key = _combo_key(s + (p_new,), row)
-                    if key in pending:
-                        covered.append(key)
+                covered = [key for s, prefix in prefixes
+                           if (key := (s, prefix + (v,))) in pending]
                 if len(covered) > best_cov:
                     best_cov = len(covered)
                     best_v = v
@@ -154,28 +157,21 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
                 del pending[key]
 
         # Vertical growth: place what horizontal growth did not cover.
-        for key in list(pending):
-            params, values = key
+        for subset, values in list(pending):
+            params = subset + (p_new,)
             pairs = list(zip(params, values))
             if any(all(r[p] == v for p, v in pairs) for r in rows):
                 continue  # covered by a row changed earlier in this phase
-            merged_into = None
             for r in rows:
                 if all(r[p] is None or r[p] == v for p, v in pairs):
                     candidate = list(r)
                     for p, v in pairs:
                         candidate[p] = v
                     if valid(candidate):
-                        merged_into = (r, candidate)
+                        r[:] = candidate
                         break
-            if merged_into is not None:
-                r, candidate = merged_into
-                r[:] = candidate
             else:
-                row = [None] * n
-                for p, v in pairs:
-                    row[p] = v
-                rows.append(row)
+                rows.append(_row(n, params, values))
 
     if fill_dashes:
         for row in rows:
@@ -207,19 +203,14 @@ def verify(model: SutModel, rows: Sequence[Sequence[Optional[int]]], t: int,
         if not handler.is_valid(row):
             report.invalid_rows.append((idx, tuple(row)))
 
-    covered: set[Combo] = set()
-    for row in rows:
-        fixed = [p for p in range(n) if row[p] is not None]
-        for subset in combinations(fixed, t):
-            covered.add((subset, tuple(row[p] for p in subset)))
-
+    # The suite by column: each subset's covered values are one zip of its
+    # columns.  An unspecified position is None and so covers no value.
+    columns = [[row[p] for row in rows] for p in range(n)]
     for subset in combinations(range(n), t):
+        covered = set(zip(*(columns[p] for p in subset)))
         for values in product(*(range(sizes[p]) for p in subset)):
-            if (subset, values) in covered:
+            if values in covered:
                 continue
-            combo: list[Optional[int]] = [None] * n
-            for p, v in zip(subset, values):
-                combo[p] = v
-            if handler.is_valid(combo):
+            if handler.is_valid(_row(n, subset, values)):
                 report.uncovered.append((subset, values))
     return report

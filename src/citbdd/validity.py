@@ -10,6 +10,10 @@ Three interchangeable handlers implement the same contract:
   full *and* partial test case, with unspecified values encoded as the
   all-ones codeword, so each check is a single root-to-terminal traversal.
 
+The check is ``handler.is_valid``: each handler validates the assignment
+against the model and then decides it by its one route.  Per-model tables
+are built in the handler's constructor and live as long as the handler.
+
 All handlers agree on every assignment; the traversal handler trades a more
 expensive setup (an existential-quantification pass per parameter) for the
 cheapest possible per-check cost.
@@ -20,15 +24,14 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .bdd import BddManager, Op
 from .encode import (
     CompiledConstraints, Encoding, EncodingMode,
-    compile_constraints, constrained_params, encode_full, make_encoding,
+    compile_constraints, encode_full, make_encoding,
 )
-from .model import SutModel, check_assignment
+from .model import SutModel, check_assignment, referenced_params
 
 
 class ValidityHandler(ABC):
@@ -46,25 +49,7 @@ class ValidityHandler(ABC):
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _oracle_tables(model: SutModel):
-    """Per-model data for the oracle: constraint parameter sets and index."""
-    param_sets = tuple(frozenset(_params_of(c)) for c in model.constraints)
-    by_param: dict[int, tuple[int, ...]] = {}
-    for ci, ps in enumerate(param_sets):
-        for p in ps:
-            by_param.setdefault(p, ())
-            by_param[p] += (ci,)
-    constrained = frozenset().union(*param_sets) if param_sets else frozenset()
-    return param_sets, by_param, constrained
-
-
-def _params_of(expr) -> frozenset[int]:
-    from .model import referenced_params
-    return frozenset(referenced_params(expr))
-
-
-def oracle_check(model: SutModel, assignment: Sequence[Optional[int]]) -> bool:
+class OracleHandler(ValidityHandler):
     """Reference validity check by depth-first search over completions.
 
     Only parameters occurring in constraints are branched on (values of the
@@ -74,77 +59,67 @@ def oracle_check(model: SutModel, assignment: Sequence[Optional[int]]) -> bool:
     constrained parameters; intended for small models and as the reference
     the other handlers are tested against.
     """
-    check_assignment(model, assignment)
-    param_sets, by_param, constrained = _oracle_tables(model)
-    values: list[Optional[int]] = list(assignment)
-    remaining = [sum(1 for p in ps if values[p] is None) for ps in param_sets]
-    for ci, rem in enumerate(remaining):
-        if rem == 0 and not model.constraints[ci].evaluate(values):
-            return False
-    unfixed = sorted(p for p in constrained if values[p] is None)
-    sizes = model.sizes
 
-    def dfs(k: int) -> bool:
-        if k == len(unfixed):
-            return True
-        p = unfixed[k]
-        touched = by_param[p]
-        for v in range(sizes[p]):
-            values[p] = v
-            ok = True
-            for ci in touched:
-                remaining[ci] -= 1
-            for ci in touched:
-                if remaining[ci] == 0 and not model.constraints[ci].evaluate(values):
-                    ok = False
-                    break
-            if ok and dfs(k + 1):
-                return True
-            for ci in touched:
-                remaining[ci] += 1
-        values[p] = None
-        return False
-
-    return dfs(0)
-
-
-class OracleHandler(ValidityHandler):
     name = "oracle"
 
     def __init__(self, model: SutModel):
         self.model = model
-        self.dropped = frozenset(range(model.n)) - constrained_params(model)
+        # Parameters of each constraint, and the constraints of each parameter.
+        self._param_sets = tuple(frozenset(referenced_params(c))
+                                 for c in model.constraints)
+        self._by_param: dict[int, list[int]] = {}
+        for ci, ps in enumerate(self._param_sets):
+            for p in ps:
+                self._by_param.setdefault(p, []).append(ci)
+        self._constrained = frozenset().union(*self._param_sets)
+        self.dropped = frozenset(range(model.n)) - self._constrained
 
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
-        return oracle_check(self.model, assignment)
+        model = self.model
+        check_assignment(model, assignment)
+        values: list[Optional[int]] = list(assignment)
+        remaining = [sum(1 for p in ps if values[p] is None)
+                     for ps in self._param_sets]
+        for ci, rem in enumerate(remaining):
+            if rem == 0 and not model.constraints[ci].evaluate(values):
+                return False
+        unfixed = sorted(p for p in self._constrained if values[p] is None)
+        sizes = model.sizes
+        by_param = self._by_param
+
+        def dfs(k: int) -> bool:
+            if k == len(unfixed):
+                return True
+            p = unfixed[k]
+            touched = by_param[p]
+            for v in range(sizes[p]):
+                values[p] = v
+                ok = True
+                for ci in touched:
+                    remaining[ci] -= 1
+                for ci in touched:
+                    if remaining[ci] == 0 and not model.constraints[ci].evaluate(values):
+                        ok = False
+                        break
+                if ok and dfs(k + 1):
+                    return True
+                for ci in touched:
+                    remaining[ci] += 1
+            values[p] = None
+            return False
+
+        return dfs(0)
 
 
 # ---------------------------------------------------------------------------
 # Conjunction check against the compiled constraint BDD
 # ---------------------------------------------------------------------------
 
-def check_and(cc: CompiledConstraints, assignment: Sequence[Optional[int]]) -> bool:
+class ConjunctionHandler(ValidityHandler):
     """Validity via conjunction: the cube of the fixed constrained values is
     ANDed with the compiled constraint function; the assignment is valid
     unless the conjunction is constant false."""
-    check_assignment(cc.model, assignment)
-    enc = cc.encoding
-    mgr = cc.manager
-    literals: list[tuple[int, int]] = []
-    for param, width, offset in zip(enc.order, enc.widths, enc.offsets):
-        v = assignment[param]
-        if v is None:
-            continue
-        literals.extend((offset + j, (v >> j) & 1) for j in range(width))
-    if not literals:
-        # Nothing constrained is fixed: valid exactly when any valid test
-        # case exists at all.
-        return not mgr.is_false(cc.f)
-    cube = mgr.make_assignment_cube(literals)
-    return not mgr.is_false(mgr.apply(Op.AND, cube, cc.f))
 
-
-class ConjunctionHandler(ValidityHandler):
     name = "bdd-and"
 
     def __init__(self, cc: CompiledConstraints):
@@ -154,7 +129,22 @@ class ConjunctionHandler(ValidityHandler):
         self.dropped = cc.encoding.dropped
 
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
-        return check_and(self.cc, assignment)
+        cc = self.cc
+        check_assignment(cc.model, assignment)
+        enc = cc.encoding
+        mgr = cc.manager
+        literals: list[tuple[int, int]] = []
+        for param, width, offset in zip(enc.order, enc.widths, enc.offsets):
+            v = assignment[param]
+            if v is None:
+                continue
+            literals.extend((offset + j, (v >> j) & 1) for j in range(width))
+        if not literals:
+            # Nothing constrained is fixed: valid exactly when any valid test
+            # case exists at all.
+            return not mgr.is_false(cc.f)
+        cube = mgr.make_assignment_cube(literals)
+        return not mgr.is_false(mgr.apply(Op.AND, cube, cc.f))
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +197,10 @@ def build_partial_bdd(cc: CompiledConstraints,
                               quant_order=quant_order, model=cc.model)
 
 
-def check_traverse(pb: PartialValidityBdd, assignment: Sequence[Optional[int]]) -> bool:
-    """Validity by one root-to-terminal walk; no BDD is constructed."""
-    check_assignment(pb.model, assignment)
-    bits = encode_full(pb.encoding, assignment)
-    return pb.manager.eval(pb.g, bits)
-
-
 class TraversalHandler(ValidityHandler):
+    """Validity by one root-to-terminal walk of the partial-test-case BDD;
+    no BDD is constructed."""
+
     def __init__(self, pb: PartialValidityBdd):
         self.pb = pb
         self.dropped = pb.encoding.dropped
@@ -222,7 +208,9 @@ class TraversalHandler(ValidityHandler):
                      else "bdd-partial-down")
 
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
-        return check_traverse(self.pb, assignment)
+        pb = self.pb
+        check_assignment(pb.model, assignment)
+        return pb.manager.eval(pb.g, encode_full(pb.encoding, assignment))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from citbdd.encode import EncodingMode, compile_constraints, make_encoding
 from citbdd.ipog import generate
 from citbdd.model import eval_constraints, parse_model
 from citbdd.validity import (
-    HANDLER_KINDS, QuantOrder, build_handler, build_partial_bdd,
-    check_and, check_traverse, oracle_check,
+    HANDLER_KINDS, ConjunctionHandler, OracleHandler, QuantOrder,
+    TraversalHandler, build_handler, build_partial_bdd,
 )
 
 from conftest import MODELS_DIR
@@ -56,9 +56,10 @@ def test_c1_running_example_goldens(printer):
         ((0, None, 0), False),
     ]
     with criterion(1, "running-example golden validity checks", 1.0):
+        oracle = OracleHandler(printer)
         handlers = [build_handler(printer, kind) for kind in HANDLER_KINDS]
         for assignment, expected in goldens:
-            assert oracle_check(printer, assignment) is expected
+            assert oracle.is_valid(assignment) is expected
             for handler in handlers:
                 assert handler.is_valid(assignment) is expected, \
                     (handler.name, assignment)
@@ -88,14 +89,14 @@ def test_c2_derived_counts(printer):
                         count += 1
             return count
 
-        assert pairs_by(lambda a: oracle_check(printer, a)) == 23
+        assert pairs_by(OracleHandler(printer).is_valid) == 23
 
         # The same 23 by filtering the partial-test-case function.
         enc2 = make_encoding(printer, EncodingMode.WITH_DASH)
         cc2 = compile_constraints(printer, enc2, BddManager(enc2.total_bits))
         pb = build_partial_bdd(cc2, QuantOrder.UP)
-        assert pairs_by(lambda a: check_traverse(pb, a)) == 23
-        assert pairs_by(lambda a: check_and(cc, a)) == 23
+        assert pairs_by(TraversalHandler(pb).is_valid) == 23
+        assert pairs_by(ConjunctionHandler(cc).is_valid) == 23
 
 
 def test_c3_oracle_equivalence_sweep():
@@ -111,13 +112,15 @@ def test_c3_oracle_equivalence_sweep():
             cc1 = compile_constraints(model, enc1, BddManager(enc1.total_bits))
             enc2 = make_encoding(model, EncodingMode.WITH_DASH)
             cc2 = compile_constraints(model, enc2, BddManager(enc2.total_bits))
-            up = build_partial_bdd(cc2, QuantOrder.UP)
-            down = build_partial_bdd(cc2, QuantOrder.DOWN)
+            oracle = OracleHandler(model)
+            conj = ConjunctionHandler(cc1)
+            up = TraversalHandler(build_partial_bdd(cc2, QuantOrder.UP))
+            down = TraversalHandler(build_partial_bdd(cc2, QuantOrder.DOWN))
             for assignment in all_assignments(model):
-                expected = oracle_check(model, assignment)
-                assert check_and(cc1, assignment) is expected, (model, assignment)
-                assert check_traverse(up, assignment) is expected, (model, assignment)
-                assert check_traverse(down, assignment) is expected, (model, assignment)
+                expected = oracle.is_valid(assignment)
+                assert conj.is_valid(assignment) is expected, (model, assignment)
+                assert up.is_valid(assignment) is expected, (model, assignment)
+                assert down.is_valid(assignment) is expected, (model, assignment)
                 checked += 1
         assert checked > 100_000  # the sweep is genuinely exhaustive
 
@@ -193,7 +196,6 @@ def test_c7_traversal_cost_independent_of_workload():
     assert model.n == 20
     with criterion(7, "traversal cost flat across workload sizes on 20 parameters", 60.0):
         handler = build_handler(model, "bdd-partial-up")
-        pb = handler.pb
         sizes = model.sizes
         radices = [s + 1 for s in sizes]
         space = 1
@@ -210,16 +212,16 @@ def test_c7_traversal_cost_independent_of_workload():
 
         assignments = [decode(rng.randrange(space)) for _ in range(1_000_000)]
         for a in assignments[:2000]:  # warm caches before timing
-            check_traverse(pb, a)
+            handler.is_valid(a)
 
         start = time.perf_counter()
         for a in assignments[:1000]:
-            check_traverse(pb, a)
+            handler.is_valid(a)
         small_mean = (time.perf_counter() - start) / 1000
 
         start = time.perf_counter()
         for a in assignments:
-            check_traverse(pb, a)
+            handler.is_valid(a)
         big_mean = (time.perf_counter() - start) / len(assignments)
 
         ratio = big_mean / small_mean

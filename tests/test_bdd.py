@@ -1,5 +1,6 @@
 """Tests for the BDD engine: semantics, canonicity, reduction, errors."""
 
+import gc
 import random
 
 import pytest
@@ -269,6 +270,23 @@ class TestLimitsAndDebug:
         mgr = BddManager(0)
         assert mgr.eval(TRUE, []) is True
         assert mgr.count_solutions(TRUE) == 1
+
+    def test_store_leaves_nothing_for_the_collector(self):
+        # Full collections must not walk the node store or the operation
+        # cache; a store of hundreds of thousands of nodes would otherwise
+        # cost a tenth of a second per full collection.
+        gc.collect()
+        before = len(gc.get_objects())
+        mgr = BddManager(16)
+        rng = random.Random(5)
+        f = TRUE
+        for _ in range(60):
+            for op in Op:
+                f = mgr.apply(op, f, build(mgr, random_formula(rng, 16, 6)))
+        f = mgr.exists(mgr.make_cube(range(0, 16, 3)), mgr.negate(f))
+        gc.collect()
+        assert mgr.node_count > 1000
+        assert len(gc.get_objects()) - before < 50
 
 
 @settings(max_examples=150, deadline=None)

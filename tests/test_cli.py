@@ -88,6 +88,27 @@ class TestGenerateCommand:
         assert out.startswith("Paper size,Feed tray,Paper type")
 
 
+# One constraint under 2,000 negations: deeper than Python's recursion limit.
+DEEP_MODEL_TEXT = "[PARAMETERS]\nx: a, b\n[CONSTRAINTS]\n" + "!" * 2000 + "(x = a)\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "verify", "bench"])
+def test_recursion_limit_exits_2_with_one_line(tmp_path, capsys, command):
+    model_dir = tmp_path / "models"
+    model_dir.mkdir()
+    model = model_dir / "deep.model"
+    model.write_text(DEEP_MODEL_TEXT, encoding="utf-8")
+    suite = tmp_path / "suite.csv"
+    suite.write_text("x\na\n", encoding="utf-8")
+    argv = {"generate": ["generate", str(model), "-t", "1"],
+            "verify": ["verify", str(model), str(suite), "-t", "1"],
+            "bench": ["bench", str(model_dir), "-t", "1"]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_known_good_suite(self, tmp_path, printer_path, printer, capsys):
         path = _write_suite(tmp_path, printer, KNOWN_GOOD_PRINTER_SUITE)

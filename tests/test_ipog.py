@@ -6,7 +6,7 @@ import pytest
 
 from citbdd.ipog import generate, skip_unconstrained_check, verify
 from citbdd.model import eval_constraints, parse_model
-from citbdd.validity import HANDLER_KINDS, build_handler, oracle_check
+from citbdd.validity import HANDLER_KINDS, OracleHandler, build_handler
 
 from conftest import load_model
 
@@ -35,12 +35,13 @@ UNCONSTRAINED_PRINTER_SUITE = [
 
 def brute_force_valid_pairs(model):
     """All valid 2-way combinations, by exhaustive oracle check."""
+    oracle = OracleHandler(model)
     pairs = []
     for (pa, pb) in combinations(range(model.n), 2):
         for va, vb in product(range(model.sizes[pa]), range(model.sizes[pb])):
             combo = [None] * model.n
             combo[pa], combo[pb] = va, vb
-            if oracle_check(model, combo):
+            if oracle.is_valid(combo):
                 pairs.append(((pa, pb), (va, vb)))
     return pairs
 
@@ -63,7 +64,7 @@ class TestPrinterGeneration:
             report = verify(printer, suite.rows, 2, oracle)
             assert report.ok, report.describe(printer)
             for row in suite.rows:
-                assert oracle_check(printer, row)
+                assert oracle.is_valid(row)
         # Handlers agree, so the suites are identical row for row.
         assert len(set(map(tuple, suites.values()))) == 1
 
@@ -90,9 +91,10 @@ class TestPrinterGeneration:
     def test_seed_lower_bound(self, printer):
         handler = build_handler(printer, "bdd-partial-up")
         suite = generate(printer, 2, handler)
+        oracle = OracleHandler(printer)
         seed_size = sum(
             1 for va, vb in product(range(3), range(3))
-            if oracle_check(printer, (va, vb, None))
+            if oracle.is_valid((va, vb, None))
         )
         assert len(suite.rows) >= seed_size
 

@@ -9,8 +9,8 @@ from citbdd.bdd import BddManager, ResourceLimitError
 from citbdd.encode import EncodingMode, compile_constraints, encode_full, make_encoding
 from citbdd.model import eval_constraints, parse_model
 from citbdd.validity import (
-    HANDLER_KINDS, ConjunctionHandler, QuantOrder, build_handler,
-    build_partial_bdd, check_and, check_traverse, oracle_check,
+    HANDLER_KINDS, ConjunctionHandler, OracleHandler, QuantOrder,
+    TraversalHandler, build_handler, build_partial_bdd,
 )
 
 from model_gen import all_assignments, random_model
@@ -30,32 +30,35 @@ def literal_validity(model, assignment):
 
 class TestOracle:
     def test_printer_goldens(self, printer):
-        assert oracle_check(printer, (1, 0, 2)) is True
-        assert oracle_check(printer, (2, 0, 0)) is False
-        assert oracle_check(printer, (1, 1, None)) is True
-        assert oracle_check(printer, (0, None, 0)) is False
+        oracle = OracleHandler(printer)
+        assert oracle.is_valid((1, 0, 2)) is True
+        assert oracle.is_valid((2, 0, 0)) is False
+        assert oracle.is_valid((1, 1, None)) is True
+        assert oracle.is_valid((0, None, 0)) is False
 
     def test_full_case_equals_eval(self, printer):
+        oracle = OracleHandler(printer)
         for t in product(range(3), repeat=3):
-            assert oracle_check(printer, t) == eval_constraints(printer, t)
+            assert oracle.is_valid(t) == eval_constraints(printer, t)
 
     def test_all_dash_means_satisfiable(self, printer):
-        assert oracle_check(printer, (None, None, None)) is True
+        assert OracleHandler(printer).is_valid((None, None, None)) is True
 
     def test_all_dash_unsatisfiable_model(self):
         m = parse_model("[PARAMETERS]\na: x, y\n[CONSTRAINTS]\na = x && a = y\n")
-        assert oracle_check(m, (None,)) is False
+        assert OracleHandler(m).is_valid((None,)) is False
 
     def test_agrees_with_literal_definition(self):
         rng = random.Random(8)
         for _ in range(30):
             m = random_model(rng, max_params=4, max_domain=3)
+            oracle = OracleHandler(m)
             for assignment in all_assignments(m):
-                assert oracle_check(m, assignment) == literal_validity(m, assignment)
+                assert oracle.is_valid(assignment) == literal_validity(m, assignment)
 
     def test_rejects_bad_values(self, printer):
         with pytest.raises(ValueError):
-            oracle_check(printer, (9, None, 0))
+            OracleHandler(printer).is_valid((9, None, 0))
 
 
 def _printer_cc(printer, mode):
@@ -65,9 +68,9 @@ def _printer_cc(printer, mode):
 
 class TestConjunctionCheck:
     def test_printer_goldens(self, printer):
-        cc = _printer_cc(printer, EncodingMode.FULL)
-        assert check_and(cc, (1, 1, None)) is True
-        assert check_and(cc, (0, None, 0)) is False
+        handler = ConjunctionHandler(_printer_cc(printer, EncodingMode.FULL))
+        assert handler.is_valid((1, 1, None)) is True
+        assert handler.is_valid((0, None, 0)) is False
 
     def test_fixed_value_cube_shape(self, printer):
         # (1,1,-) pins the first two parameters: x1 !x2 x3 !x4.
@@ -83,12 +86,12 @@ class TestConjunctionCheck:
         assert mgr.make_assignment_cube(literals) == expected
 
     def test_all_dash_reflects_satisfiability(self, printer):
-        cc = _printer_cc(printer, EncodingMode.FULL)
-        assert check_and(cc, (None, None, None)) is True
+        handler = ConjunctionHandler(_printer_cc(printer, EncodingMode.FULL))
+        assert handler.is_valid((None, None, None)) is True
         unsat = parse_model("[PARAMETERS]\na: x, y\n[CONSTRAINTS]\na = x && a = y\n")
         enc = make_encoding(unsat, EncodingMode.FULL)
         cc_unsat = compile_constraints(unsat, enc, BddManager(enc.total_bits))
-        assert check_and(cc_unsat, (None,)) is False
+        assert ConjunctionHandler(cc_unsat).is_valid((None,)) is False
 
     def test_handler_requires_full_mode(self, printer):
         cc = _printer_cc(printer, EncodingMode.WITH_DASH)
@@ -102,7 +105,8 @@ class TestPartialBdd:
         # case (checked against the definitional oracle below).
         cc = _printer_cc(printer, EncodingMode.WITH_DASH)
         pb = build_partial_bdd(cc, QuantOrder.UP)
-        accepted = [a for a in all_assignments(printer) if check_traverse(pb, a)]
+        handler = TraversalHandler(pb)
+        accepted = [a for a in all_assignments(printer) if handler.is_valid(a)]
         expected = [a for a in all_assignments(printer) if literal_validity(printer, a)]
         assert accepted == expected
         assert len(accepted) == 51
@@ -112,10 +116,10 @@ class TestPartialBdd:
 
     def test_traverse_goldens(self, printer):
         cc = _printer_cc(printer, EncodingMode.WITH_DASH)
-        pb = build_partial_bdd(cc, QuantOrder.UP)
-        assert check_traverse(pb, (1, 1, None)) is True
-        assert check_traverse(pb, (0, None, 0)) is False
-        assert check_traverse(pb, (1, 0, 2)) is True
+        handler = TraversalHandler(build_partial_bdd(cc, QuantOrder.UP))
+        assert handler.is_valid((1, 1, None)) is True
+        assert handler.is_valid((0, None, 0)) is False
+        assert handler.is_valid((1, 0, 2)) is True
 
     def test_up_down_same_function(self, printer):
         cc = _printer_cc(printer, EncodingMode.WITH_DASH)
@@ -154,11 +158,11 @@ class TestPartialBdd:
 
     def test_g_matches_f_on_full_cases(self, printer):
         cc1 = _printer_cc(printer, EncodingMode.FULL)
-        pb = build_partial_bdd(_printer_cc(printer, EncodingMode.WITH_DASH),
-                               QuantOrder.UP)
+        handler = TraversalHandler(build_partial_bdd(
+            _printer_cc(printer, EncodingMode.WITH_DASH), QuantOrder.UP))
         for t in product(range(3), repeat=3):
             via_f = cc1.manager.eval(cc1.f, encode_full(cc1.encoding, t))
-            assert check_traverse(pb, t) == via_f
+            assert handler.is_valid(t) == via_f
 
 
 class TestHandlerAgreement:
