@@ -13,7 +13,7 @@ from .encode import (
     compile_constraints, constrained_params, encode_full, make_encoding,
     order_parameters,
 )
-from .ipog import TestSuite, VerifyReport, generate, skip_unconstrained_check, verify
+from .ipog import TestSuite, VerifyReport, generate, verify
 from .model import (
     Assignment, ModelError, Parameter, SutModel,
     eval_constraints, format_constraint, parse_constraint, parse_model,

@@ -10,13 +10,18 @@ Suites are CSV files: the header row holds the parameter names, each
 following row one test case with value labels (0-based indices with
 ``--indices``) and ``-`` for unspecified entries.  Benchmark output is one
 record per (instance, handler) with columns
-``instance,handler,t,status,seconds,suite_size``; a second file with suffix
-``.cactus.csv`` holds per-handler sorted times for cactus plots.
+``instance,handler,t,status,seconds,suite_size``, written as each record
+finishes; a second file with suffix ``.cactus.csv`` holds per-handler
+sorted times for cactus plots.
+
+Exit codes: 0 on success, 1 when ``verify`` finds the suite failed, and 2
+with one ``error:`` line on stderr for any bad input or exhausted resource.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import signal
 import statistics
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
-from .bdd import ResourceLimitError
+from .bdd import BddError
 from .ipog import generate, verify
 from .model import Assignment, ModelError, SutModel, parse_model
 from .validity import (
@@ -42,8 +47,12 @@ class GenerationTimeout(Exception):
 
 
 def _load_model(path: str) -> SutModel:
+    """Read and parse a model file; a parse failure names the file."""
     text = Path(path).read_text(encoding="utf-8")
-    return parse_model(text)
+    try:
+        return parse_model(text)
+    except (ModelError, RecursionError) as exc:
+        raise ModelError(f"{path}: {exc}") from None
 
 
 def _format_row(model: SutModel, row: Assignment, indices: bool) -> list[str]:
@@ -109,17 +118,8 @@ def write_suite_csv(model: SutModel, rows: Sequence[Assignment], stream: TextIO,
 
 def cmd_generate(model_path: str, t: int, handler_kind: str, fill: bool,
                  out_path: Optional[str], indices: bool = False) -> int:
-    try:
-        model = _load_model(model_path)
-    except (OSError, ModelError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        handler = build_handler(model, handler_kind)
-        suite = generate(model, t, handler, fill_dashes=fill)
-    except (ValueError, ResourceLimitError, MemoryError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = _load_model(model_path)
+    suite = generate(model, t, build_handler(model, handler_kind), fill_dashes=fill)
     if suite.diagnostic:
         print(f"warning: {suite.diagnostic}", file=sys.stderr)
     if out_path:
@@ -132,19 +132,10 @@ def cmd_generate(model_path: str, t: int, handler_kind: str, fill: bool,
 
 def cmd_verify(model_path: str, suite_path: str, t: int,
                handler_kind: str = HANDLER_PARTIAL_UP) -> int:
-    try:
-        model = _load_model(model_path)
-        with open(suite_path, "r", encoding="utf-8", newline="") as fh:
-            rows = read_suite_csv(model, fh)
-    except (OSError, ModelError, ValueError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        handler = build_handler(model, handler_kind)
-        report = verify(model, rows, t, handler)
-    except (ValueError, ResourceLimitError, MemoryError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = _load_model(model_path)
+    with open(suite_path, "r", encoding="utf-8", newline="") as fh:
+        rows = read_suite_csv(model, fh)
+    report = verify(model, rows, t, build_handler(model, handler_kind))
     print(report.describe(model))
     return 0 if report.ok else 1
 
@@ -210,7 +201,7 @@ def bench_instance(name: str, model: SutModel, t: int, handler_kind: str,
     for _ in range(repeats):
         try:
             elapsed, size = _run_once(model, t, handler_kind, timeout)
-        except (GenerationTimeout, ResourceLimitError, MemoryError):
+        except (GenerationTimeout, MemoryError):
             return BenchmarkRecord(name, handler_kind, t, "NA", None, None)
         times.append(elapsed)
     return BenchmarkRecord(name, handler_kind, t, "OK", trimmed_mean(times, trim), size)
@@ -222,45 +213,33 @@ def cmd_bench(model_dir: str, t: int, handler_kinds: Sequence[str],
               out_csv: Optional[str] = None) -> int:
     directory = Path(model_dir)
     if not directory.is_dir():
-        print(f"error: {model_dir!r} is not a directory", file=sys.stderr)
-        return 2
+        raise ValueError(f"{model_dir!r} is not a directory")
     paths = sorted(directory.glob("*.model"))
     if not paths:
-        print(f"error: no *.model files in {model_dir!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no *.model files in {model_dir!r}")
     if repeats <= 2 * trim:
-        print(f"error: repeats={repeats} leaves nothing after trim={trim}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"repeats={repeats} leaves nothing after trim={trim}")
 
     records: list[BenchmarkRecord] = []
-    for path in paths:
-        try:
-            model = _load_model(str(path))
-        except (OSError, ModelError, RecursionError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
-        for kind in handler_kinds:
-            rec = bench_instance(path.stem, model, t, kind, repeats, trim,
-                                 timeout_secs)
-            records.append(rec)
-            shown = "NA" if rec.seconds is None else f"{rec.seconds:.4f}s"
-            print(f"{rec.instance},{rec.handler}: {rec.status} {shown}",
-                  file=sys.stderr)
-
-    out = open(out_csv, "w", encoding="utf-8", newline="") if out_csv else sys.stdout
-    try:
+    with (open(out_csv, "w", encoding="utf-8", newline="") if out_csv
+          else contextlib.nullcontext(sys.stdout)) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["instance", "handler", "t", "status", "seconds", "suite_size"])
-        for rec in records:
-            writer.writerow([
-                rec.instance, rec.handler, rec.t, rec.status,
-                "" if rec.seconds is None else f"{rec.seconds:.6f}",
-                "" if rec.suite_size is None else rec.suite_size,
-            ])
-    finally:
-        if out_csv:
-            out.close()
+        for path in paths:
+            model = _load_model(str(path))
+            for kind in handler_kinds:
+                rec = bench_instance(path.stem, model, t, kind, repeats, trim,
+                                     timeout_secs)
+                records.append(rec)
+                writer.writerow([
+                    rec.instance, rec.handler, rec.t, rec.status,
+                    "" if rec.seconds is None else f"{rec.seconds:.6f}",
+                    "" if rec.suite_size is None else rec.suite_size,
+                ])
+                out.flush()
+                shown = "NA" if rec.seconds is None else f"{rec.seconds:.4f}s"
+                print(f"{rec.instance},{rec.handler}: {rec.status} {shown}",
+                      file=sys.stderr)
 
     if out_csv:
         _write_cactus(records, list(handler_kinds),
@@ -332,15 +311,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "generate":
-        return cmd_generate(args.model, args.strength, args.handler, args.fill,
-                            args.output, args.indices)
-    if args.command == "verify":
-        return cmd_verify(args.model, args.suite, args.strength, args.handler)
-    handlers = args.handler or [HANDLER_AND, HANDLER_PARTIAL_UP, HANDLER_PARTIAL_DOWN]
-    return cmd_bench(args.model_dir, args.strength, handlers,
-                     repeats=args.repeats, trim=args.trim,
-                     timeout_secs=args.timeout, out_csv=args.output)
+    try:
+        if args.command == "generate":
+            return cmd_generate(args.model, args.strength, args.handler, args.fill,
+                                args.output, args.indices)
+        if args.command == "verify":
+            return cmd_verify(args.model, args.suite, args.strength, args.handler)
+        handlers = args.handler or [HANDLER_AND, HANDLER_PARTIAL_UP, HANDLER_PARTIAL_DOWN]
+        return cmd_bench(args.model_dir, args.strength, handlers,
+                         repeats=args.repeats, trim=args.trim,
+                         timeout_secs=args.timeout, out_csv=args.output)
+    except (OSError, ValueError, BddError, MemoryError, RecursionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """Boolean encodings of parameters and compilation of constraints to a BDD.
 
 Each parameter that occurs in a constraint gets a contiguous range of
-Boolean variables, least significant bit first.  Two encodings exist:
+Boolean variables, least significant bit first.  ``Encoding.var_bits``
+spells that layout out once: entry ``k`` is the ``(parameter, bit)`` that
+BDD variable ``k`` holds, in level order, and every encoder of an
+assignment reads it.  Two encodings exist:
 
 * ``FULL`` uses ceil(log2 |D|) bits per parameter and can represent only
   fixed values;
@@ -53,6 +56,7 @@ class Encoding:
     widths: tuple[int, ...]   # bits per parameter, aligned with order
     offsets: tuple[int, ...]  # first bit index per parameter, aligned with order
     total_bits: int
+    var_bits: tuple[tuple[int, int], ...]  # (parameter, bit) per variable, level order
     dropped: frozenset[int]   # parameters absent from every constraint
     n_params: int
 
@@ -162,8 +166,9 @@ def make_encoding(model: SutModel, mode: EncodingMode,
     for w in widths:
         offsets.append(total)
         total += w
+    var_bits = tuple((p, j) for p, w in zip(order, widths) for j in range(w))
     return Encoding(mode=mode, order=tuple(order), sizes=sizes, widths=widths,
-                    offsets=tuple(offsets), total_bits=total,
+                    offsets=tuple(offsets), total_bits=total, var_bits=var_bits,
                     dropped=frozenset(range(model.n)) - constrained,
                     n_params=model.n)
 
@@ -177,22 +182,23 @@ def encode_full(enc: Encoding, assignment: Sequence[Optional[int]]) -> list[int]
     """
     if len(assignment) != enc.n_params:
         raise ValueError(f"expected {enc.n_params} values, got {len(assignment)}")
-    bits = [0] * enc.total_bits
-    for param, size, width, offset in zip(enc.order, enc.sizes, enc.widths, enc.offsets):
+    for param, size in zip(enc.order, enc.sizes):
         v = assignment[param]
         if v is None:
             if enc.mode is EncodingMode.FULL:
                 raise ValueError(f"parameter #{param} is unspecified, which the "
                                  "FULL encoding cannot represent")
-            codeword = (1 << width) - 1
-        else:
-            if not 0 <= v < size:
-                raise ValueError(f"value {v} out of range for parameter #{param} "
-                                 f"(domain size {size})")
-            codeword = v
-        for j in range(width):
-            bits[offset + j] = (codeword >> j) & 1
-    return bits
+        elif not 0 <= v < size:
+            raise ValueError(f"value {v} out of range for parameter #{param} "
+                             f"(domain size {size})")
+    return encode_bits(enc, assignment)
+
+
+def encode_bits(enc: Encoding, assignment: Sequence[Optional[int]]) -> list[int]:
+    """``encode_full`` without its checks, for an assignment already
+    validated against the model: one read of ``var_bits`` per variable."""
+    return [1 if (v := assignment[p]) is None else (v >> j) & 1
+            for p, j in enc.var_bits]
 
 
 @dataclass

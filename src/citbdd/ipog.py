@@ -68,18 +68,6 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def skip_unconstrained_check(handler: ValidityHandler,
-                             combo: Sequence[Optional[int]]) -> bool:
-    """True when every fixed position is an unconstrained parameter.
-
-    Such assignments cannot violate any constraint, so the handler call can
-    be skipped (provided the model has at least one valid test case, which
-    ``generate`` establishes up front).
-    """
-    dropped = handler.dropped
-    return all(v is None or p in dropped for p, v in enumerate(combo))
-
-
 def _row(n: int, params: Sequence[int], values: Sequence[int]) -> list[Optional[int]]:
     """A row of ``n`` unspecified positions with ``params`` set to ``values``."""
     row: list[Optional[int]] = [None] * n
@@ -104,10 +92,13 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
     # Non-increasing domain size, ties by declaration order.
     order = sorted(range(n), key=lambda i: (-sizes[i], i))
 
+    # A row that fixes no constrained parameter cannot violate a constraint
+    # once the model is known to have a valid test case (checked below), so
+    # it skips the handler call.
+    constrained = [p for p in range(n) if p not in handler.dropped]
+
     def valid(row: Sequence[Optional[int]]) -> bool:
-        if skip_unconstrained_check(handler, row):
-            return True
-        return handler.is_valid(row)
+        return all(row[p] is None for p in constrained) or handler.is_valid(row)
 
     if not handler.is_valid((None,) * n):
         return TestSuite(model, t, [],

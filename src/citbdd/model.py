@@ -191,6 +191,10 @@ def referenced_params(expr: ConstraintExpr) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Parameter:
+    """A named parameter and its value labels.  It owns the per-parameter
+    rules: a non-empty name, a non-empty domain, no empty and no repeated
+    label."""
+
     name: str
     domain: tuple[str, ...]
 
@@ -199,6 +203,8 @@ class Parameter:
             raise ModelError("parameter name cannot be empty")
         if len(self.domain) < 1:
             raise ModelError(f"parameter {self.name!r} has an empty domain")
+        if any(not v for v in self.domain):
+            raise ModelError(f"parameter {self.name!r} has an empty value label")
         if len(set(self.domain)) != len(self.domain):
             raise ModelError(f"parameter {self.name!r} has duplicate value labels")
 
@@ -242,23 +248,13 @@ class SutModel:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(p.domain) for p in self.params)
 
-    def param_index(self, name: str) -> int:
-        for i, p in enumerate(self.params):
-            if p.name == name:
-                return i
-        raise KeyError(name)
-
 
 def eval_constraints(model: SutModel, t: Sequence[Optional[int]]) -> bool:
     """Decide whether the full test case ``t`` satisfies every constraint."""
-    if len(t) != model.n:
-        raise ValueError(f"expected {model.n} values, got {len(t)}")
-    for i, v in enumerate(t):
-        if v is None:
-            raise ValueError(f"test case is not full: parameter {model.params[i].name!r} "
-                             "is unspecified")
-        if not 0 <= v < len(model.params[i].domain):
-            raise ValueError(f"value {v} out of range for {model.params[i].name!r}")
+    check_assignment(model, t)
+    if None in t:
+        raise ValueError("test case is not full: parameter "
+                         f"{model.params[list(t).index(None)].name!r} is unspecified")
     return all(c.evaluate(t) for c in model.constraints)
 
 
@@ -535,27 +531,21 @@ def parse_model(text: str) -> SutModel:
                 raise ModelError("expected 'name: value, value, ...'", lineno)
             name, _, rest = line.partition(":")
             name = name.strip()
-            if not name:
-                raise ModelError("parameter name cannot be empty", lineno)
             if name in names:
                 raise ModelError(f"duplicate parameter {name!r}", lineno)
-            labels = tuple(v.strip() for v in rest.split(","))
-            if labels == ("",):
-                raise ModelError(f"parameter {name!r} has an empty domain", lineno)
-            if any(not v for v in labels):
-                raise ModelError(f"parameter {name!r} has an empty value label", lineno)
-            if len(set(labels)) != len(labels):
-                raise ModelError(f"parameter {name!r} has duplicate value labels", lineno)
-            params.append(Parameter(name, labels))
+            labels = tuple(v.strip() for v in rest.split(",")) if rest.strip() else ()
+            try:
+                params.append(Parameter(name, labels))
+            except ModelError as exc:
+                raise ModelError(str(exc), lineno) from None
             names.add(name)
         elif section == "CONSTRAINTS":
             constraint_lines.append((lineno, line))
         else:
             raise ModelError("content before any [PARAMETERS]/[CONSTRAINTS] section", lineno)
 
-    base = SutModel(tuple(params), ())
     constraints = tuple(
-        _ExprParser(_tokenize(src, lineno), base.params).parse()
+        _ExprParser(_tokenize(src, lineno), params).parse()
         for lineno, src in constraint_lines
     )
-    return SutModel(base.params, constraints)
+    return SutModel(tuple(params), constraints)

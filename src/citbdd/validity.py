@@ -11,8 +11,13 @@ Three interchangeable handlers implement the same contract:
   all-ones codeword, so each check is a single root-to-terminal traversal.
 
 The check is ``handler.is_valid``: each handler validates the assignment
-against the model and then decides it by its one route.  Per-model tables
-are built in the handler's constructor and live as long as the handler.
+against the model once, with ``check_assignment``, and then decides it by
+its one route without checking it again.  Both BDD handlers read the bit
+layout from the encoding's ``var_bits`` table (parameter and bit per
+variable, in level order), so a traversal check is that validation, one
+pass over the table to build the bit vector, and the walk.  Per-model
+tables are built in the handler's constructor and live as long as the
+handler.
 
 All handlers agree on every assignment; the traversal handler trades a more
 expensive setup (an existential-quantification pass per parameter) for the
@@ -29,7 +34,7 @@ from typing import Optional, Sequence
 from .bdd import BddManager, Op
 from .encode import (
     CompiledConstraints, Encoding, EncodingMode,
-    compile_constraints, encode_full, make_encoding,
+    compile_constraints, encode_bits, make_encoding,
 )
 from .model import SutModel, check_assignment, referenced_params
 
@@ -131,14 +136,10 @@ class ConjunctionHandler(ValidityHandler):
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
         cc = self.cc
         check_assignment(cc.model, assignment)
-        enc = cc.encoding
         mgr = cc.manager
-        literals: list[tuple[int, int]] = []
-        for param, width, offset in zip(enc.order, enc.widths, enc.offsets):
-            v = assignment[param]
-            if v is None:
-                continue
-            literals.extend((offset + j, (v >> j) & 1) for j in range(width))
+        literals = [(var, (v >> j) & 1)
+                    for var, (p, j) in enumerate(cc.encoding.var_bits)
+                    if (v := assignment[p]) is not None]
         if not literals:
             # Nothing constrained is fixed: valid exactly when any valid test
             # case exists at all.
@@ -210,7 +211,7 @@ class TraversalHandler(ValidityHandler):
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
         pb = self.pb
         check_assignment(pb.model, assignment)
-        return pb.manager.eval(pb.g, encode_full(pb.encoding, assignment))
+        return pb.manager.eval(pb.g, encode_bits(pb.encoding, assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +225,17 @@ HANDLER_PARTIAL_DOWN = "bdd-partial-down"
 HANDLER_KINDS = (HANDLER_AND, HANDLER_PARTIAL_UP, HANDLER_PARTIAL_DOWN, HANDLER_ORACLE)
 
 
-def build_handler(model: SutModel, kind: str,
-                  max_nodes: Optional[int] = None) -> ValidityHandler:
+def build_handler(model: SutModel, kind: str) -> ValidityHandler:
     """Construct a validity handler of the given kind for ``model``."""
     if kind == HANDLER_ORACLE:
         return OracleHandler(model)
     if kind == HANDLER_AND:
         enc = make_encoding(model, EncodingMode.FULL)
-        mgr = BddManager(enc.total_bits, max_nodes=max_nodes)
+        mgr = BddManager(enc.total_bits)
         return ConjunctionHandler(compile_constraints(model, enc, mgr))
     if kind in (HANDLER_PARTIAL_UP, HANDLER_PARTIAL_DOWN):
         enc = make_encoding(model, EncodingMode.WITH_DASH)
-        mgr = BddManager(enc.total_bits, max_nodes=max_nodes)
+        mgr = BddManager(enc.total_bits)
         cc = compile_constraints(model, enc, mgr)
         order = QuantOrder.UP if kind == HANDLER_PARTIAL_UP else QuantOrder.DOWN
         return TraversalHandler(build_partial_bdd(cc, order))

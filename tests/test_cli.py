@@ -109,6 +109,13 @@ def test_recursion_limit_exits_2_with_one_line(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+def test_generate_to_a_missing_directory_exits_2(tmp_path, printer_path, capsys):
+    out = tmp_path / "missing" / "dir" / "x.csv"
+    assert main(["generate", str(printer_path), "-t", "2", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_known_good_suite(self, tmp_path, printer_path, printer, capsys):
         path = _write_suite(tmp_path, printer, KNOWN_GOOD_PRINTER_SUITE)
@@ -227,6 +234,49 @@ class TestBenchCommand:
         empty.mkdir()
         assert main(["bench", str(empty), "-t", "2"]) == 2
         assert "no *.model files" in capsys.readouterr().err
+
+    def test_strength_above_a_model_exits_2(self, tmp_path, capsys):
+        model_dir = tmp_path / "suite"
+        model_dir.mkdir()
+        shutil.copy(MODELS_DIR / "chain4.model", model_dir / "chain4.model")
+        assert main(["bench", str(model_dir), "-t", "5", "--handler", "bdd-and",
+                     "--repeats", "1", "--trim", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "out of range for 4 parameters" in err
+
+    def test_missing_output_directory_fails_before_any_run(self, tmp_path, printer_path,
+                                                           capsys):
+        model_dir = tmp_path / "suite"
+        model_dir.mkdir()
+        shutil.copy(printer_path, model_dir / "printer.model")
+        out = tmp_path / "missing" / "dir" / "b.csv"
+        assert main(["bench", str(model_dir), "-t", "2",
+                     "--repeats", "1", "--trim", "0", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_records_before_a_failure_are_kept(self, tmp_path, printer_path, capsys):
+        model_dir = tmp_path / "suite"
+        model_dir.mkdir()
+        shutil.copy(MODELS_DIR / "chain4.model", model_dir / "chain4.model")
+        shutil.copy(printer_path, model_dir / "printer.model")
+        out = tmp_path / "bench.csv"
+        # chain4 has 4 parameters and runs; printer has 3 and fails.
+        assert main(["bench", str(model_dir), "-t", "4", "--handler", "bdd-and",
+                     "--repeats", "1", "--trim", "0", "-o", str(out)]) == 2
+        assert "out of range" in capsys.readouterr().err
+        with open(out, newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert [(r["instance"], r["status"]) for r in records] == [("chain4", "OK")]
+
+    def test_parse_error_names_the_model_file(self, tmp_path, capsys):
+        model_dir = tmp_path / "suite"
+        model_dir.mkdir()
+        (model_dir / "bad.model").write_text("[PARAMETERS]\na: x, y\n[CONSTRAINTS]\nzzz = 1\n")
+        assert main(["bench", str(model_dir), "-t", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "bad.model: unknown parameter" in err
 
     def test_overtrimmed_repeats_rejected(self, tmp_path, printer_path, capsys):
         model_dir = tmp_path / "suite"

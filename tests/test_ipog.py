@@ -4,9 +4,9 @@ from itertools import combinations, product
 
 import pytest
 
-from citbdd.ipog import generate, skip_unconstrained_check, verify
+from citbdd.ipog import generate, verify
 from citbdd.model import eval_constraints, parse_model
-from citbdd.validity import HANDLER_KINDS, OracleHandler, build_handler
+from citbdd.validity import HANDLER_KINDS, OracleHandler, ValidityHandler, build_handler
 
 from conftest import load_model
 
@@ -194,21 +194,46 @@ class TestVerify:
             verify(printer, [(0, 0)], 2, handler)
 
 
+class RecordingHandler(ValidityHandler):
+    """Records every assignment that reaches ``is_valid``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.dropped = inner.dropped
+        self.calls = []
+
+    def is_valid(self, assignment):
+        self.calls.append(tuple(assignment))
+        return self.inner.is_valid(assignment)
+
+
 class TestSkipUnconstrained:
+    """``generate`` asks the handler only about rows that fix a constrained
+    parameter, besides its first check of the all-unspecified row."""
+
     def test_combo_on_dropped_parameter(self):
         m = parse_model("[PARAMETERS]\nP1: a, b\nP2: a, b\nP3: a, b\nP4: a, b\n"
                         "[CONSTRAINTS]\nP1 = a => P2 = b\nP4 != a\n")
-        handler = build_handler(m, "bdd-partial-up")
-        assert skip_unconstrained_check(handler, (None, None, 0, None)) is True
+        handler = RecordingHandler(build_handler(m, "bdd-partial-up"))
+        generate(m, 2, handler)
+        assert len(handler.calls) == 42
+        assert handler.calls[0] == (None,) * 4
+        assert all(any(a[p] is not None for p in (0, 1, 3))
+                   for a in handler.calls[1:])
 
     def test_combo_on_constrained_parameter(self):
         m = parse_model("[PARAMETERS]\nP1: a, b\nP2: a, b\n[CONSTRAINTS]\nP1 = a\n")
-        handler = build_handler(m, "bdd-partial-up")
-        assert skip_unconstrained_check(handler, (0, None)) is False
+        handler = RecordingHandler(build_handler(m, "bdd-partial-up"))
+        generate(m, 1, handler)
+        assert len(handler.calls) == 5
+        assert (0, None) in handler.calls
 
     def test_unconstrained_model_always_skips(self, printer_free):
-        handler = build_handler(printer_free, "oracle")
-        assert skip_unconstrained_check(handler, (1, 2, 0)) is True
+        handler = RecordingHandler(build_handler(printer_free, "oracle"))
+        suite = generate(printer_free, 2, handler)
+        assert handler.calls == [(None, None, None)]
+        assert len(suite.rows) == 10
 
 
 class TestAcrossModels:

@@ -115,6 +115,14 @@ class TestParseErrors:
         with pytest.raises(ModelError, match="unexpected character"):
             parse_model("[PARAMETERS]\na: x, y\n[CONSTRAINTS]\na = x $\n")
 
+    def test_empty_label_names_the_line(self):
+        with pytest.raises(ModelError, match="empty value label at line 2"):
+            parse_model("[PARAMETERS]\na: x,\n")
+
+    def test_parameter_rejects_an_empty_label(self):
+        with pytest.raises(ModelError, match="empty value label"):
+            Parameter("x", ("a", ""))
+
 
 class TestPrecedence:
     def _parse(self, text):
