@@ -8,10 +8,14 @@ each leftover combination into a compatible row or appends it as a new
 partial row.  Every candidate row is validity-checked through the supplied
 handler's ``is_valid``, so rows never violate the model constraints.
 
-Uncovered combinations are kept in insertion order, keyed by a subset of
-the placed parameters, in placement order as ``combinations`` yields it,
-and the values; horizontal growth builds each subset's value prefix once
-per row.
+Uncovered combinations are kept as one set per value of the new
+parameter.  Each set holds ``(subset, prefix)`` pairs: ``subset`` is t-1
+placed parameters in placement order, as ``combinations`` yields it, and
+``prefix`` their values.  Horizontal growth builds the set of a row's own
+pairs once and counts what each candidate value covers as the size of its
+intersection with that value's set, so the loops over subsets run inside
+set operations.  Vertical growth walks one list of every pair in
+enumeration order.
 
 Rows may keep unspecified positions; ``fill_dashes`` completes them with
 the smallest values that keep each row valid.  ``verify`` independently
@@ -111,58 +115,77 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
         if valid(row):
             rows.append(row)
 
+    buf: list[Optional[int]] = [None] * n
     for idx in range(t, n):
         p_new = order[idx]
         placed = order[:idx]
+        dn = sizes[p_new]
 
-        # Valid t-way combinations involving the new parameter, keyed by
-        # (subset, values): ``subset`` is t-1 placed parameters in
-        # placement order, ``values`` their values followed by p_new's.
-        pending: dict[Combo, None] = {}
+        # Valid t-way combinations involving the new parameter: pending[v]
+        # holds each (subset, prefix) still uncovered with p_new = v, and
+        # ``keys`` lists every (subset, prefix) in enumeration order.
+        pending: list[set[Combo]] = [set() for _ in range(dn)]
+        keys: list[Combo] = []
+        new_dropped = p_new in handler.dropped
         for subset in combinations(placed, t - 1):
-            params = subset + (p_new,)
-            for values in product(*(range(sizes[p]) for p in params)):
-                if valid(_row(n, params, values)):
-                    pending[subset, values] = None
+            # The shortcut of ``valid``, decided once for the whole subset.
+            unchecked = new_dropped and all(q in handler.dropped for q in subset)
+            for prefix in product(*(range(sizes[q]) for q in subset)):
+                key = (subset, prefix)
+                keys.append(key)
+                if unchecked:
+                    for s in pending:
+                        s.add(key)
+                    continue
+                for q, v in zip(subset, prefix):
+                    buf[q] = v
+                for v in range(dn):
+                    buf[p_new] = v
+                    if handler.is_valid(buf):
+                        pending[v].add(key)
+            for q in subset:
+                buf[q] = None
+        buf[p_new] = None
 
         # Horizontal growth: extend every row with the best valid value.
         for row in rows:
             fixed = [q for q in placed if row[q] is not None]
-            prefixes = [(s, tuple(row[q] for q in s))
-                        for s in combinations(fixed, t - 1)]
+            seen = set(zip(combinations(fixed, t - 1),
+                           combinations([row[q] for q in fixed], t - 1)))
             best_v = None
-            best_cov = -1
-            best_covered: list[Combo] = []
-            for v in range(sizes[p_new]):
+            best: set[Combo] = set()
+            for v in range(dn):
                 row[p_new] = v
                 if not valid(row):
                     continue
-                covered = [key for s, prefix in prefixes
-                           if (key := (s, prefix + (v,))) in pending]
-                if len(covered) > best_cov:
-                    best_cov = len(covered)
-                    best_v = v
-                    best_covered = covered
+                covered = pending[v] & seen
+                if best_v is None or len(covered) > len(best):
+                    best_v, best = v, covered
             row[p_new] = best_v  # None when no valid extension exists
-            for key in best_covered:
-                del pending[key]
+            if best_v is not None:
+                pending[best_v] -= best
 
         # Vertical growth: place what horizontal growth did not cover.
-        for subset, values in list(pending):
+        for key in keys:
+            subset, prefix = key
             params = subset + (p_new,)
-            pairs = list(zip(params, values))
-            if any(all(r[p] == v for p, v in pairs) for r in rows):
-                continue  # covered by a row changed earlier in this phase
-            for r in rows:
-                if all(r[p] is None or r[p] == v for p, v in pairs):
-                    candidate = list(r)
-                    for p, v in pairs:
-                        candidate[p] = v
-                    if valid(candidate):
-                        r[:] = candidate
-                        break
-            else:
-                rows.append(_row(n, params, values))
+            for v in range(dn):
+                if key not in pending[v]:
+                    continue
+                values = prefix + (v,)
+                pairs = list(zip(params, values))
+                if any(all(r[p] == w for p, w in pairs) for r in rows):
+                    continue  # covered by a row changed earlier in this phase
+                for r in rows:
+                    if all(r[p] is None or r[p] == w for p, w in pairs):
+                        candidate = list(r)
+                        for p, w in pairs:
+                            candidate[p] = w
+                        if valid(candidate):
+                            r[:] = candidate
+                            break
+                else:
+                    rows.append(_row(n, params, values))
 
     if fill_dashes:
         for row in rows:

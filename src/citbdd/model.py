@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
 # One value index per parameter; None = unspecified.
@@ -244,7 +245,7 @@ class SutModel:
     def n(self) -> int:
         return len(self.params)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(p.domain) for p in self.params)
 
@@ -260,11 +261,14 @@ def eval_constraints(model: SutModel, t: Sequence[Optional[int]]) -> bool:
 
 def check_assignment(model: SutModel, t: Sequence[Optional[int]]) -> None:
     """Raise ValueError unless ``t`` is a well-formed (possibly partial) assignment."""
-    if len(t) != model.n:
-        raise ValueError(f"expected {model.n} values, got {len(t)}")
-    for i, v in enumerate(t):
-        if v is not None and not 0 <= v < len(model.params[i].domain):
-            raise ValueError(f"value {v} out of range for {model.params[i].name!r}")
+    sizes = model.sizes
+    if len(t) != len(sizes):
+        raise ValueError(f"expected {len(sizes)} values, got {len(t)}")
+    for v, s in zip(t, sizes):
+        if v is not None and not 0 <= v < s:
+            param = next(p for p, w, z in zip(model.params, t, sizes)
+                         if w is not None and not 0 <= w < z)
+            raise ValueError(f"value {v} out of range for {param.name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Golden suites: the exact CSV output of ``bdd-partial-up`` on every
-shipped model, and the exact check count of one large run.
+shipped model, the exact sequence of checks that produced it, and the
+exact check count of one large run.
 
 The hashes pin the suites byte for byte, so a rewrite of IPOG's
-bookkeeping that changes any row, row order or tie-break fails here.  C5
-already shows that every handler produces the same suite, so one handler
-kind stands for all of them.
+bookkeeping that changes any row, row order or tie-break fails here.  The
+check sequence is pinned too, so a rewrite that reaches the same suite
+through other or reordered checks fails as well.  C5 already shows that
+every handler produces the same suite, so one handler kind stands for all
+of them.
 """
 
 import hashlib
@@ -70,6 +73,59 @@ GOLDEN_SHA256 = {
     ("tree10", 3, True): "23713e311064d2c76e76d2f608120ad0e244ed49beab9030750fabc9be9fe9e1",
 }
 
+# SHA-256 of the ``is_valid`` calls ``generate`` makes, one
+# ``repr((tuple(assignment), answer))`` line per call, keyed as above.
+GOLDEN_CALLS_SHA256 = {
+    ("chain4", 2, False): "186a05b2feb989948c06d3fa5a745e805bc9a3f48c2279b5d2d9d755906f2ad8",
+    ("chain4", 2, True): "3d389d10c91994fc7bd99b3e45bcd380a673c0203b449d13171a2a9b0d38e0c8",
+    ("chain4", 3, False): "b2752e7a22cb3d208760dfa7d4e58e82964e86e4173bc1ebaf33b6635aa814d8",
+    ("chain4", 3, True): "3a442a905439fb969df206c1d9f7bd06bc8f619f4a560a81c85547f2bbdeaeff",
+    ("comparators", 2, False): "a484eab0c666edd628edcdec9599d113066370ef0afae992ce3149a2dff7e0d4",
+    ("comparators", 2, True): "1b4bd5e25c330d4599dc8c16840aa4f8100f2f054e1a6c3c74062397a0ed5a31",
+    ("comparators", 3, False): "f6bbe8fb548372af9ac4e0f08a4964823840c49a82b9dccd85cddbab680bdf37",
+    ("comparators", 3, True): "bad12796bc805405c4a6cb4ac60200ff9618f9f568b05cf381f58f4cc52ee717",
+    ("equality6", 2, False): "42fade0a5c49b680e736cfd1ff7057516d92b50f7e7781aed5d99fbc7671c9fc",
+    ("equality6", 2, True): "5ac91fd8295d00718c952aa76f05c3c75a4e1b0f72d4b0d82c205a654c315a47",
+    ("equality6", 3, False): "eaa34e4566b6a8c41dbe86086e3a3bda19b9762a26f5c69174c686364f04053f",
+    ("equality6", 3, True): "517c04858dbbe3bbe0a7bc08757bbd6f1c74ab7febfe40a4a23cd2993af10f9f",
+    ("forbidden", 2, False): "0784da224f6f1ef6f8d30abf377e769fdc6024e6ebce626428fae8cda49a67c4",
+    ("forbidden", 2, True): "beea074923af4ac8ab0a51a91138c9eae307863aa15798508c60c5e1e69d0fdf",
+    ("forbidden", 3, False): "fcdde9daa0412658fb3a39b2b276018919a1b02a41534b9858b1dcb539b13cef",
+    ("forbidden", 3, True): "fcdde9daa0412658fb3a39b2b276018919a1b02a41534b9858b1dcb539b13cef",
+    ("free5", 2, False): "de344d5a1e25f3b30d433bdb4dfb8a03a1bb690cfdd6ba6e73ec0b4934cd780e",
+    ("free5", 2, True): "de344d5a1e25f3b30d433bdb4dfb8a03a1bb690cfdd6ba6e73ec0b4934cd780e",
+    ("free5", 3, False): "de344d5a1e25f3b30d433bdb4dfb8a03a1bb690cfdd6ba6e73ec0b4934cd780e",
+    ("free5", 3, True): "de344d5a1e25f3b30d433bdb4dfb8a03a1bb690cfdd6ba6e73ec0b4934cd780e",
+    ("printer", 2, False): "65a8501954e2d362c6930a2fc47141be3f13aa597305861286194d88a2b365ce",
+    ("printer", 2, True): "0341d46306117edbcfe3b91d8ca1f2a96ee2bb7f685a9df772c3ddefdf9537b8",
+    ("printer", 3, False): "3511bcccb3dd8ce52eaee06adcbdcbc5564bbec4838866e6bdd8734c71f3759a",
+    ("printer", 3, True): "3511bcccb3dd8ce52eaee06adcbdcbc5564bbec4838866e6bdd8734c71f3759a",
+    ("printer_free", 2, False): "15a0d3ccea51b9b32aa61cad6d9fe28e15753dc305990a3c927c8fea3e219c61",
+    ("printer_free", 2, True): "15a0d3ccea51b9b32aa61cad6d9fe28e15753dc305990a3c927c8fea3e219c61",
+    ("printer_free", 3, False): "15a0d3ccea51b9b32aa61cad6d9fe28e15753dc305990a3c927c8fea3e219c61",
+    ("printer_free", 3, True): "15a0d3ccea51b9b32aa61cad6d9fe28e15753dc305990a3c927c8fea3e219c61",
+    ("ring8", 2, False): "7a467db8b144437e67e9aac6c71788e220f3679f670e75d2ab326de28d9d2f8d",
+    ("ring8", 2, True): "b7aa9d41182bb7806173e3f745a22bce7cce9938768c7a0fbb8141d0f31d14e2",
+    ("ring8", 3, False): "5c846fc02a3a829c0667a805e3c59681d6969cc83ac3c92effc69bb96ada6f29",
+    ("ring8", 3, True): "3567ccb801699855c808b2130c9f8084cfb751a969361dead7a1da7e7a64a903",
+    ("sparse12", 2, False): "002533b3675b8b899dab05baa217048508bb55492d38e7a2053b2fb83a4ec994",
+    ("sparse12", 2, True): "f0b0b407c1982f7a35cdf75daaf49478b4031c60a960bc704bf3b596a4d76a1d",
+    ("sparse12", 3, False): "8921f9e17c94f65a2d9839b6fb59e8bc9463874f4acef158b45d510ca9041309",
+    ("sparse12", 3, True): "1cb0b3cad8e07b2914b5eaeb188d718e83a131ecda522e678f5208f8531e214a",
+    ("synth16", 2, False): "9096737cfee98a213f8d187dd4a052338df384429294dd14a1364dbe01646679",
+    ("synth16", 2, True): "6397de7c0711c403b18fce941c760aa7f57f8dd126622724e61c8c0e7adb3679",
+    ("synth16", 3, False): "fc37457325ad5a449e78e615adb53c50ee054b0f946a6f981ac9020e6fa60ea3",
+    ("synth16", 3, True): "1044bee42251284fa0feff562703962169a32531bcb83eff1126491799861853",
+    ("synth20", 2, False): "03252f4612cc1b5dda220c507f94946a12946c66e2a48042dccf470e9231c5cc",
+    ("synth20", 2, True): "702b1cfe10843f34563e28fccacd0024d9d3d30822690b46af85bf662dd95d00",
+    ("synth20", 3, False): "334b4549393507da164cfe14cec97e1aa1544b3f11f294366d7e75885759dd06",
+    ("synth20", 3, True): "fe74ed01af4e75d89380947c781e368dd2781034597b07f1b002ae4ec19267bd",
+    ("tree10", 2, False): "ed15f46ead597a6e2a8da43285aa98b579abacbe75858be8c710155573aec433",
+    ("tree10", 2, True): "e8fcfddafe5bd90f960d2b3c57de1b9e811a41d1431c368d9d1de3e735b526a3",
+    ("tree10", 3, False): "19ed236290e8f321b54fd8083a7fc708341835655c05cc0c81a81866452b1fcb",
+    ("tree10", 3, True): "6d1d4f17c6c2f59790d7aaa45b67cf9d39ddd9ba5efee1257ea4112bb259d97e",
+}
+
 
 def _suite_sha256(model, rows):
     buf = io.StringIO()
@@ -80,23 +136,28 @@ def _suite_sha256(model, rows):
 @pytest.mark.parametrize("name,t,fill", sorted(GOLDEN_SHA256))
 def test_suite_matches_golden(name, t, fill):
     model = load_model(name)
-    suite = generate(model, t, build_handler(model, "bdd-partial-up"),
-                     fill_dashes=fill)
+    handler = CountingHandler(build_handler(model, "bdd-partial-up"))
+    suite = generate(model, t, handler, fill_dashes=fill)
     assert _suite_sha256(model, suite.rows) == GOLDEN_SHA256[name, t, fill]
+    assert handler.sha256.hexdigest() == GOLDEN_CALLS_SHA256[name, t, fill]
 
 
 class CountingHandler(ValidityHandler):
-    """Counts the checks that reach ``is_valid`` and passes them on."""
+    """Counts and hashes the checks that reach ``is_valid`` and passes them
+    on."""
 
     def __init__(self, inner: ValidityHandler):
         self.inner = inner
         self.name = inner.name
         self.dropped = inner.dropped
         self.calls = 0
+        self.sha256 = hashlib.sha256()
 
     def is_valid(self, assignment):
+        answer = self.inner.is_valid(assignment)
         self.calls += 1
-        return self.inner.is_valid(assignment)
+        self.sha256.update(repr((tuple(assignment), answer)).encode("utf-8") + b"\n")
+        return answer
 
 
 def test_synth20_t3_row_and_check_counts():

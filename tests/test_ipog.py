@@ -1,5 +1,6 @@
 """Tests for suite generation and verification."""
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -9,6 +10,7 @@ from citbdd.model import eval_constraints, parse_model
 from citbdd.validity import HANDLER_KINDS, OracleHandler, ValidityHandler, build_handler
 
 from conftest import load_model
+from model_gen import random_model
 
 # A known-good 10-row strength-2 suite for the printer model, with three
 # partial rows, as (Paper size, Feed tray, Paper type) value indices.
@@ -249,3 +251,21 @@ class TestAcrossModels:
             assert all(rows == rows_by_kind[0] for rows in rows_by_kind[1:])
             report = verify(model, rows_by_kind[0], t, oracle)
             assert report.ok, f"{name} t={t}: {report.describe(model)}"
+
+
+class TestRandomModels:
+    def test_bdd_suite_equals_oracle_suite_and_verifies(self):
+        rng = random.Random(11)
+        for i in range(60):
+            model = random_model(rng, max_params=6)
+            oracle = build_handler(model, "oracle")
+            for t in range(1, min(3, model.n) + 1):
+                for fill in (False, True):
+                    suite = generate(model, t, build_handler(model, "bdd-partial-up"),
+                                     fill_dashes=fill)
+                    expected = generate(model, t, oracle, fill_dashes=fill)
+                    where = f"model {i}, t={t}, fill={fill}"
+                    assert suite.rows == expected.rows, where
+                    assert suite.diagnostic == expected.diagnostic, where
+                    report = verify(model, suite.rows, t, oracle)
+                    assert report.ok, f"{where}: {report.describe(model)}"

@@ -184,8 +184,12 @@ class TestEvalConstraints:
             eval_constraints(printer, (1, None, 2))
 
     def test_rejects_out_of_range(self, printer):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="^value 7 out of range for 'Paper type'$"):
             eval_constraints(printer, (1, 0, 7))
+        with pytest.raises(ValueError, match="^value 3 out of range for 'Feed tray'$"):
+            eval_constraints(printer, (2, 3, 3))
+        with pytest.raises(ValueError, match="^expected 3 values, got 2$"):
+            eval_constraints(printer, (1, 0))
 
     def test_pure(self, printer):
         results = {eval_constraints(printer, (1, 0, 2)) for _ in range(5)}
