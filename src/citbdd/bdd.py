@@ -234,6 +234,53 @@ class BddManager:
         self._cache[key] = res
         return res
 
+    def extend_dash(self, first: int, width: int, f: int) -> int:
+        """``f ∨ (C ∧ ∃C. f)`` in one pass, where ``C`` is the all-ones cube
+        on the contiguous variables ``first .. first + width - 1``.
+
+        Nodes above the block are rebuilt from their extended children and
+        nodes below it are kept.  Where an edge enters the block, the
+        all-ones path through the block is copied with every other branch
+        kept and its end redirected to ``∃C. u`` (on that path the result
+        is ``u|ones ∨ ∃C. u``, which is ``∃C. u``).
+        """
+        self._check(f)
+        if first < 0 or width < 0 or first + width > self.var_count:
+            raise BddError(f"variable block {first}..{first + width - 1} out of "
+                           f"range (manager has {self.var_count} variables)")
+        cube = self.make_cube(range(first, first + width))
+        return self._extend_dash(f, first, first + width, cube, {})
+
+    # A method with ``memo`` passed in, not a nested closure: a closure that
+    # calls itself is a reference cycle, and it would keep the manager alive
+    # until the cycle collector ran.
+    def _extend_dash(self, f: int, first: int, last: int, cube: int,
+                     memo: dict[int, int]) -> int:
+        level = self._level[f]
+        if level >= last:
+            return f
+        res = memo.get(f)
+        if res is not None:
+            return res
+        if level < first:
+            res = self._mk(level,
+                           self._extend_dash(self._low[f], first, last, cube, memo),
+                           self._extend_dash(self._high[f], first, last, cube, memo))
+        else:
+            lows = []
+            node = f
+            for k in range(first, last):
+                if self._level[node] == k:
+                    lows.append(self._low[node])
+                    node = self._high[node]
+                else:
+                    lows.append(node)
+            res = self._exists(cube, f)
+            for k in range(last - 1, first - 1, -1):
+                res = self._mk(k, lows[k - first], res)
+        memo[f] = res
+        return res
+
     def eval(self, f: int, bits: Sequence[int]) -> bool:
         """Evaluate ``f`` by a single root-to-terminal walk."""
         self._check(f)

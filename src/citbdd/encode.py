@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Optional, Sequence
 
 from .bdd import FALSE, TRUE, BddManager, Op
@@ -96,9 +96,6 @@ def _occurrences(model: SutModel) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def _path_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    # Paths share the constraint index as their first step when the
-    # occurrences are in the same tree; otherwise the route passes through
-    # the virtual root, which the differing first steps account for.
     lcp = 0
     for x, y in zip(a, b):
         if x != y:
@@ -120,25 +117,38 @@ def order_parameters(model: SutModel) -> tuple[int, ...]:
     params = sorted({p for p, _ in occs})
     if len(params) <= 1:
         return tuple(params)
-    dist: dict[tuple[int, int], int] = {}
-    for (p, pa), (q, qa) in combinations(occs, 2):
-        if p == q:
-            continue
-        d = _path_distance(pa, qa)
-        key = (p, q) if p < q else (q, p)
-        if key not in dist or d < dist[key]:
-            dist[key] = d
+    # Occurrences in different trees are len(a) + len(b) apart, through
+    # the virtual root, and two in one tree are nearer than that.  So the
+    # sum of the two parameters' shallowest depths is either their nearest
+    # cross-tree distance or beaten by a same-tree pair, and only
+    # same-tree pairs need comparing one by one.
+    depth: dict[int, int] = {}
+    for p, path in occs:
+        if p not in depth or len(path) < depth[p]:
+            depth[p] = len(path)
+    dist = {(p, q): depth[p] + depth[q] for p, q in combinations(params, 2)}
+    for _, tree in groupby(occs, key=lambda occ: occ[1][0]):
+        for (p, pa), (q, qa) in combinations(list(tree), 2):
+            if p == q:
+                continue
+            key = (p, q) if p < q else (q, p)
+            gap = _path_distance(pa, qa)
+            if gap < dist[key]:
+                dist[key] = gap
 
     def d(p: int, q: int) -> int:
         return dist[(p, q) if p < q else (q, p)]
 
     first = min(params, key=lambda p: (sum(d(p, q) for q in params if q != p), p))
     chosen = [first]
-    remaining = [p for p in params if p != first]
-    while remaining:
-        nxt = min(remaining, key=lambda p: (sum(d(p, s) for s in chosen), p))
+    # Running sum of each remaining parameter's distances to those chosen.
+    acc = {p: d(p, first) for p in params if p != first}
+    while acc:
+        nxt = min(acc, key=lambda p: (acc[p], p))
         chosen.append(nxt)
-        remaining.remove(nxt)
+        del acc[nxt]
+        for p in acc:
+            acc[p] += d(p, nxt)
     return tuple(chosen)
 
 
@@ -214,11 +224,15 @@ def compile_constraints(model: SutModel, enc: Encoding, mgr: BddManager) -> Comp
     if mgr.var_count != enc.total_bits:
         raise ValueError(f"manager has {mgr.var_count} variables, encoding needs "
                          f"{enc.total_bits}")
-    f = TRUE
-    for pos in range(len(enc.order)):
-        f = mgr.apply(Op.AND, f, _value_le(mgr, enc, pos, enc.sizes[pos] - 1))
-    for c in model.constraints:
-        f = mgr.apply(Op.AND, f, _translate(mgr, enc, c))
+    terms = [_value_le(mgr, enc, pos, enc.sizes[pos] - 1)
+             for pos in range(len(enc.order))]
+    terms += [_translate(mgr, enc, c) for c in model.constraints]
+    # Conjoin pairwise in rounds: the operands stay the size of a few
+    # terms, where one growing accumulator would be rebuilt per term.
+    while len(terms) > 1:
+        pairs = [mgr.apply(Op.AND, a, b) for a, b in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[2 * len(pairs):]
+    f = terms[0] if terms else TRUE
     return CompiledConstraints(manager=mgr, f=f, encoding=enc, model=model)
 
 

@@ -9,6 +9,10 @@ Three interchangeable handlers implement the same contract:
 * ``TraversalHandler``: walks a precomputed BDD that accepts every valid
   full *and* partial test case, with unspecified values encoded as the
   all-ones codeword, so each check is a single root-to-terminal traversal.
+  ``build_partial_bdd`` builds that BDD from the compiled constraints by
+  one fused pass per parameter (``BddManager.extend_dash``), which adds
+  the parameter's all-ones codeword wherever some value of the parameter
+  is valid.
 
 The check is ``handler.is_valid``: each handler validates the assignment
 against the model once, with ``check_assignment``, and then decides it by
@@ -20,8 +24,8 @@ tables are built in the handler's constructor and live as long as the
 handler.
 
 All handlers agree on every assignment; the traversal handler trades a more
-expensive setup (an existential-quantification pass per parameter) for the
-cheapest possible per-check cost.
+expensive setup (one ``extend_dash`` pass per parameter) for the cheapest
+possible per-check cost.
 """
 
 from __future__ import annotations
@@ -170,13 +174,15 @@ def build_partial_bdd(cc: CompiledConstraints,
                       quant_order: QuantOrder = QuantOrder.UP) -> PartialValidityBdd:
     """Extend the constraint BDD to accept valid partial test cases too.
 
-    One pass per parameter: existentially quantify the parameter's variables
-    out of the function built so far, conjoin the all-ones cube of those
-    variables (marking the parameter unspecified), and OR the result back
-    in.  ``quant_order`` picks whether the pass runs from the root-most
-    parameter down or from the terminal-most parameter up; both orders
-    produce the same canonical function, but the cost of the quantification
-    steps can differ.
+    One ``BddManager.extend_dash`` pass per parameter turns the function
+    built so far, ``g``, into ``g ∨ (C ∧ ∃C. g)``, where ``C`` is the
+    all-ones cube on the parameter's bits (the parameter unspecified).
+    Each pass rebuilds the nodes above the parameter's bits, copies the
+    all-ones path through them with its end redirected to the quantified
+    function, and keeps everything below.  ``quant_order`` picks whether
+    the passes run from the root-most parameter down or from the
+    terminal-most parameter up; both orders produce the same canonical
+    function, but the cost of the passes can differ.
 
     Raises ResourceLimitError if the manager's node limit is exceeded.
     """
@@ -189,11 +195,7 @@ def build_partial_bdd(cc: CompiledConstraints,
         positions = reversed(positions)
     g = cc.f
     for pos in positions:
-        offset, width = enc.offsets[pos], enc.widths[pos]
-        cube = mgr.make_cube(range(offset, offset + width))
-        quantified = mgr.exists(cube, g)
-        h = mgr.apply(Op.AND, quantified, cube)
-        g = mgr.apply(Op.OR, g, h)
+        g = mgr.extend_dash(enc.offsets[pos], enc.widths[pos], g)
     return PartialValidityBdd(manager=mgr, g=g, encoding=enc,
                               quant_order=quant_order, model=cc.model)
 

@@ -165,6 +165,49 @@ class TestExists:
             mgr.exists(mgr.negate(mgr.mk_var(0)), TRUE)
 
 
+def extend_dash_reference(mgr, first, width, f):
+    """``f ∨ (C ∧ ∃C. f)`` composed from the generic operations."""
+    cube = mgr.make_cube(range(first, first + width))
+    return mgr.apply(Op.OR, f, mgr.apply(Op.AND, mgr.exists(cube, f), cube))
+
+
+class TestExtendDash:
+    def test_matches_composition_on_random_bdds(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            mgr = BddManager(n)
+            f = build(mgr, random_formula(rng, n, rng.randint(2, 16)))
+            for width in (1, 2, 3):
+                for first in range(n - width + 1):
+                    assert mgr.extend_dash(first, width, f) == \
+                        extend_dash_reference(mgr, first, width, f), (first, width)
+            assert scan_reduction_violations(mgr) == []
+
+    def test_terminals(self):
+        mgr = BddManager(4)
+        assert mgr.extend_dash(1, 2, FALSE) == FALSE
+        assert mgr.extend_dash(1, 2, TRUE) == TRUE
+
+    def test_function_independent_of_the_block_is_kept(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            mgr = BddManager(8)
+            # Over variables 0-2 and 6-7 only, around the block 3..5.
+            f = build(mgr, random_formula(rng, 8, 12))
+            f = mgr.exists(mgr.make_cube([3, 4, 5]), f)
+            assert mgr.extend_dash(3, 3, f) == f == extend_dash_reference(mgr, 3, 3, f)
+
+    def test_block_out_of_range(self):
+        mgr = BddManager(4)
+        with pytest.raises(BddError, match="out of range"):
+            mgr.extend_dash(3, 2, TRUE)
+        with pytest.raises(BddError, match="out of range"):
+            mgr.extend_dash(-1, 1, TRUE)
+        with pytest.raises(BddError, match="unknown node handle"):
+            mgr.extend_dash(0, 1, 99)
+
+
 class TestEval:
     def test_true_everywhere(self):
         mgr = BddManager(3)

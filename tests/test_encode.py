@@ -5,9 +5,10 @@ from itertools import product
 
 import pytest
 
-from citbdd.bdd import BddManager, Op
+from citbdd.bdd import TRUE, BddManager, Op
 from citbdd.encode import (
     EncodingMode,
+    _translate, _value_le,
     compile_constraints, constrained_params, encode_full, make_encoding,
     order_parameters,
 )
@@ -302,3 +303,40 @@ class TestCompile:
         enc = make_encoding(printer, EncodingMode.FULL)
         with pytest.raises(ValueError, match="variables"):
             compile_constraints(printer, enc, BddManager(enc.total_bits + 1))
+
+
+def chain_text(n_params):
+    """An implication chain, ``cK = cK+1 || cK = v0``, in the same text the
+    benchmark's chain instances use."""
+    names = [f"c{i:03d}" for i in range(n_params)]
+    lines = [f"# implication chain over {n_params} parameters", "[PARAMETERS]"]
+    lines += [f"{name}: v0, v1, v2" for name in names]
+    lines += ["", "[CONSTRAINTS]"]
+    lines += [f"{a} = {b} || {a} = v0" for a, b in zip(names, names[1:])]
+    return "\n".join(lines) + "\n"
+
+
+class TestChainScale:
+    """The random models above have at most nine parameters; these run the
+    ordering and the compilation on a 150-parameter chain."""
+
+    @pytest.fixture(scope="class")
+    def chain150(self):
+        return parse_model(chain_text(150))
+
+    def test_order_matches_bfs_graph_oracle(self, chain150):
+        assert order_parameters(chain150) == _greedy_order(
+            constrained_params(chain150), _bfs_distances(chain150))
+
+    def test_balanced_f_equals_linear_fold(self, chain150):
+        for mode in EncodingMode:
+            enc = make_encoding(chain150, mode)
+            mgr = BddManager(enc.total_bits)
+            f = compile_constraints(chain150, enc, mgr).f
+            linear = TRUE
+            for pos in range(len(enc.order)):
+                linear = mgr.apply(Op.AND, linear,
+                                   _value_le(mgr, enc, pos, enc.sizes[pos] - 1))
+            for c in chain150.constraints:
+                linear = mgr.apply(Op.AND, linear, _translate(mgr, enc, c))
+            assert f == linear, mode

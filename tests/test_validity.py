@@ -1,6 +1,8 @@
 """Tests for the three validity handlers and the partial-test-case BDD."""
 
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -13,7 +15,9 @@ from citbdd.validity import (
     TraversalHandler, build_handler, build_partial_bdd,
 )
 
+from conftest import MODELS_DIR, load_model
 from model_gen import all_assignments, random_model
+from test_bdd import extend_dash_reference
 
 
 def literal_validity(model, assignment):
@@ -136,6 +140,27 @@ class TestPartialBdd:
             assert build_partial_bdd(cc, QuantOrder.UP).g == \
                 build_partial_bdd(cc, QuantOrder.DOWN).g
 
+    def test_every_step_matches_composition_on_shipped_models(self):
+        # Each parameter's pass equals f ∨ (C ∧ ∃C. f) built from the
+        # generic operations, and the passes together give the built g.
+        for path in sorted(MODELS_DIR.glob("*.model")):
+            m = load_model(path.stem)
+            enc = make_encoding(m, EncodingMode.WITH_DASH)
+            cc = compile_constraints(m, enc, BddManager(enc.total_bits))
+            mgr = cc.manager
+            for quant in QuantOrder:
+                positions = range(len(enc.order))
+                if quant is QuantOrder.UP:
+                    positions = reversed(positions)
+                g = cc.f
+                for pos in positions:
+                    first, width = enc.offsets[pos], enc.widths[pos]
+                    step = mgr.extend_dash(first, width, g)
+                    assert step == extend_dash_reference(mgr, first, width, g), \
+                        (path.stem, quant, pos)
+                    g = step
+                assert build_partial_bdd(cc, quant).g == g, (path.stem, quant)
+
     def test_vacuous_constraint_keeps_domain_and_dash(self):
         # One retained parameter under a tautological constraint: g accepts
         # each in-domain codeword plus the all-ones dash codeword.
@@ -230,6 +255,21 @@ class TestHandlerFactory:
                         "[CONSTRAINTS]\nb = 0\n")
         for kind in HANDLER_KINDS:
             assert build_handler(m, kind).dropped == {0, 2}
+
+    def test_store_freed_without_the_cycle_collector(self):
+        # Dropping a traversal handler frees its manager by reference
+        # counting alone: nothing built during set-up may hold the manager
+        # in a reference cycle.
+        model = load_model("synth20")
+        gc.disable()
+        try:
+            for kind in ("bdd-partial-up", "bdd-partial-down"):
+                handler = build_handler(model, kind)
+                store = weakref.ref(handler.pb.manager)
+                del handler
+                assert store() is None, kind
+        finally:
+            gc.enable()
 
     def test_unconstrained_model(self, printer_free):
         for kind in HANDLER_KINDS:
