@@ -201,12 +201,6 @@ def encode_full(enc: Encoding, assignment: Sequence[Optional[int]]) -> list[int]
         elif not 0 <= v < size:
             raise ValueError(f"value {v} out of range for parameter #{param} "
                              f"(domain size {size})")
-    return encode_bits(enc, assignment)
-
-
-def encode_bits(enc: Encoding, assignment: Sequence[Optional[int]]) -> list[int]:
-    """``encode_full`` without its checks, for an assignment already
-    validated against the model: one read of ``var_bits`` per variable."""
     return [1 if (v := assignment[p]) is None else (v >> j) & 1
             for p, j in enc.var_bits]
 

@@ -14,18 +14,24 @@ Three interchangeable handlers implement the same contract:
   the parameter's all-ones codeword wherever some value of the parameter
   is valid.
 
-The check is ``handler.is_valid``: each handler validates the assignment
-against the model once, with ``check_assignment``, and then decides it by
-its one route without checking it again.  Both BDD handlers read the bit
-layout from the encoding's ``var_bits`` table (parameter and bit per
-variable, in level order), so a traversal check is that validation, one
-pass over the table to build the bit vector, and the walk.  Per-model
-tables are built in the handler's constructor and live as long as the
-handler.
+The check is ``handler.is_valid``, and each handler has one route through
+it.  The oracle and the conjunction handler validate the assignment once
+with ``check_assignment`` and then decide it; the conjunction handler
+builds its cube from the encoding's ``var_bits`` table (parameter and bit
+per variable, in level order).  The traversal handler reads ``g`` as a
+multi-valued diagram: its constructor builds a jump table per constrained
+parameter, from each node the walk can stand on when it reaches the
+parameter's block of bits to the node each value's codeword (and the
+all-ones codeword) leads to through the block, so a check
+is one table step per constrained parameter, with the range check of the
+value in the same step, and no bit vector.  An out-of-range value or a
+wrong length goes to ``check_assignment``, so every handler rejects bad
+input with the same message.  Per-model tables are built in the handler's
+constructor and live as long as the handler.
 
 All handlers agree on every assignment; the traversal handler trades a more
-expensive setup (one ``extend_dash`` pass per parameter) for the cheapest
-possible per-check cost.
+expensive setup (one ``extend_dash`` pass per parameter, then the jump
+table) for the cheapest per-check cost.
 """
 
 from __future__ import annotations
@@ -35,10 +41,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .bdd import BddManager, Op
+from .bdd import TRUE, BddManager, Op
 from .encode import (
     CompiledConstraints, Encoding, EncodingMode,
-    compile_constraints, encode_bits, make_encoding,
+    compile_constraints, make_encoding,
 )
 from .model import SutModel, check_assignment, referenced_params
 
@@ -201,19 +207,58 @@ def build_partial_bdd(cc: CompiledConstraints,
 
 
 class TraversalHandler(ValidityHandler):
-    """Validity by one root-to-terminal walk of the partial-test-case BDD;
-    no BDD is constructed."""
+    """Validity by one root-to-terminal walk of the partial-test-case BDD,
+    taken one parameter at a time; no BDD is constructed.
+
+    The constructor reads ``g`` as a multi-valued decision diagram: for
+    each constrained parameter, in level order, a jump table maps every
+    node the walk can stand on when it reaches the parameter's block of
+    bits (terminals included) to ``(vals, dash)``, the nodes reached by
+    following value ``v``'s codeword (``vals[v]``) and the all-ones
+    codeword (``dash``) through the block.  A check is then one table step
+    per constrained parameter, with no bit vector.
+    """
 
     def __init__(self, pb: PartialValidityBdd):
         self.pb = pb
-        self.dropped = pb.encoding.dropped
+        enc = pb.encoding
+        self.dropped = enc.dropped
         self.name = ("bdd-partial-up" if pb.quant_order is QuantOrder.UP
                      else "bdd-partial-down")
+        sizes = pb.model.sizes
+        self._n = len(sizes)
+        self._dropped_sizes = tuple((p, sizes[p]) for p in sorted(enc.dropped))
+        mgr = pb.manager
+        steps = []
+        nodes = [pb.g]  # where the walk can stand at the next block
+        for p, size, first, width in zip(enc.order, enc.sizes, enc.offsets, enc.widths):
+            table = {node: (ends[:size], ends[-1]) for node, ends
+                     in zip(nodes, mgr.block_cofactors(nodes, first, width))}
+            steps.append((p, size, table))
+            nodes = list({nxt for vals, dash in table.values() for nxt in (*vals, dash)})
+        self._steps = tuple(steps)
 
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
-        pb = self.pb
-        check_assignment(pb.model, assignment)
-        return pb.manager.eval(pb.g, encode_bits(pb.encoding, assignment))
+        if len(assignment) != self._n:
+            check_assignment(self.pb.model, assignment)
+        node = self.pb.g
+        # No early exit at FALSE: every value must still be range checked,
+        # and an out-of-range one (negative ones too, which a tuple index
+        # would wrap) hands over to check_assignment for its message.
+        for p, size, table in self._steps:
+            v = assignment[p]
+            vals, dash = table[node]
+            if v is None:
+                node = dash
+            elif 0 <= v < size:
+                node = vals[v]
+            else:
+                check_assignment(self.pb.model, assignment)
+        for p, size in self._dropped_sizes:
+            v = assignment[p]
+            if v is not None and not 0 <= v < size:
+                check_assignment(self.pb.model, assignment)
+        return node == TRUE
 
 
 # ---------------------------------------------------------------------------

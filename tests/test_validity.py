@@ -190,6 +190,50 @@ class TestPartialBdd:
             assert handler.is_valid(t) == via_f
 
 
+# ``b`` has three values in two bits, and ``g`` tests none of them when
+# ``a`` is not ``x``: on that path the walk skips ``b``'s whole block.
+SKIPPED_BLOCK = parse_model("[PARAMETERS]\na: x, y, z\nb: p, q, r\nc: u, v\n"
+                            "[CONSTRAINTS]\na = x => b = p\n")
+
+
+class TestTraversalTable:
+    def test_walk_matches_eval(self):
+        rng = random.Random(66)
+        models = [SKIPPED_BLOCK] + [random_model(rng) for _ in range(25)]
+        for m in models:
+            enc = make_encoding(m, EncodingMode.WITH_DASH)
+            cc = compile_constraints(m, enc, BddManager(enc.total_bits))
+            for quant in QuantOrder:
+                pb = build_partial_bdd(cc, quant)
+                handler = TraversalHandler(pb)
+                last = enc.order[-1]
+                for a in all_assignments(m):
+                    valid = handler.is_valid(a)
+                    assert valid == pb.manager.eval(pb.g, encode_full(enc, a)), \
+                        (m, quant, a)
+                    if not valid:
+                        # The walk may reach FALSE above the last block; a
+                        # bad value there must still raise.
+                        bad = list(a)
+                        bad[last] = m.sizes[last]
+                        with pytest.raises(ValueError, match="out of range"):
+                            handler.is_valid(bad)
+
+    @pytest.mark.parametrize("kind", HANDLER_KINDS)
+    @pytest.mark.parametrize("assignment, message", [
+        ((3, 0, 0), r"^value 3 out of range for 'a'$"),
+        ((0, -1, 0), r"^value -1 out of range for 'b'$"),
+        ((1, 5, 0), r"^value 5 out of range for 'b'$"),
+        ((1, 0, 2), r"^value 2 out of range for 'c'$"),
+        ((0, 1, 2), r"^value 2 out of range for 'c'$"),  # after g reaches FALSE
+        ((0, 0), r"^expected 3 values, got 2$"),
+    ])
+    def test_rejects_bad_input(self, kind, assignment, message):
+        handler = build_handler(SKIPPED_BLOCK, kind)
+        with pytest.raises(ValueError, match=message):
+            handler.is_valid(assignment)
+
+
 class TestHandlerAgreement:
     def test_printer_exhaustive(self, printer):
         handlers = [build_handler(printer, kind) for kind in HANDLER_KINDS]
