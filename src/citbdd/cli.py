@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import math
 import signal
 import statistics
 import sys
@@ -211,6 +212,10 @@ def cmd_bench(model_dir: str, t: int, handler_kinds: Sequence[str],
               repeats: int = 12, trim: int = 1,
               timeout_secs: Optional[float] = DEFAULT_TIMEOUT,
               out_csv: Optional[str] = None) -> int:
+    if trim < 0:
+        raise ValueError(f"trim must be >= 0, got {trim}")
+    if timeout_secs is not None and not (timeout_secs > 0 and math.isfinite(timeout_secs)):
+        raise ValueError(f"timeout must be a finite number of seconds > 0, got {timeout_secs}")
     directory = Path(model_dir)
     if not directory.is_dir():
         raise ValueError(f"{model_dir!r} is not a directory")

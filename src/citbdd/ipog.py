@@ -8,14 +8,22 @@ each leftover combination into a compatible row or appends it as a new
 partial row.  Every candidate row is validity-checked through the supplied
 handler's ``is_valid``, so rows never violate the model constraints.
 
-Uncovered combinations are kept as one set per value of the new
-parameter.  Each set holds ``(subset, prefix)`` pairs: ``subset`` is t-1
-placed parameters in placement order, as ``combinations`` yields it, and
-``prefix`` their values.  Horizontal growth builds the set of a row's own
-pairs once and counts what each candidate value covers as the size of its
-intersection with that value's set, so the loops over subsets run inside
-set operations.  Vertical growth walks one list of every pair in
-enumeration order.
+Uncovered combinations are kept as one set of integer keys per value of
+the new parameter.  A key stands for t-1 placed parameters and their
+values: the parameters' positions in placement order folded with radix
+``n``, then their values folded with radix ``max(sizes)``, so the numeric
+order of the keys is the order in which ``combinations`` and ``product``
+enumerate them.  Horizontal growth builds the set of a row's own keys once,
+as sums over per-slot lists of ints, and counts what each candidate value
+covers as the size of its intersection with that value's set.
+
+Vertical growth reads the suite through row bitmasks: for each placed
+parameter one Python int per value, bit ``i`` set when row ``i`` holds that
+value, and one for the rows where it is unspecified.  A combination is
+covered when the AND of its value masks is non-zero, and the rows it can
+merge into are the AND of its ``value | unspecified`` masks, tried from the
+lowest bit up, which is row order.  Vertical growth keeps the masks in step
+as it fills positions and appends rows.
 
 Rows may keep unspecified positions; ``fill_dashes`` completes them with
 the smallest values that keep each row valid.  ``verify`` independently
@@ -80,6 +88,16 @@ def _row(n: int, params: Sequence[int], values: Sequence[int]) -> list[Optional[
     return row
 
 
+def _value_masks(rows: Sequence[Sequence[Optional[int]]], p: int,
+                 size: int) -> dict[Optional[int], int]:
+    """The rows of parameter ``p`` as bitmasks, bit ``i`` for ``rows[i]``:
+    one mask per value, and one under ``None`` for unspecified positions."""
+    masks: dict[Optional[int], int] = dict.fromkeys((None, *range(size)), 0)
+    for i, row in enumerate(rows):
+        masks[row[p]] |= 1 << i
+    return masks
+
+
 def generate(model: SutModel, t: int, handler: ValidityHandler,
              fill_dashes: bool = False) -> TestSuite:
     """Generate a t-wise covering suite for ``model`` using ``handler``.
@@ -100,11 +118,12 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
     # once the model is known to have a valid test case (checked below), so
     # it skips the handler call.
     constrained = [p for p in range(n) if p not in handler.dropped]
+    is_valid = handler.is_valid
 
     def valid(row: Sequence[Optional[int]]) -> bool:
-        return all(row[p] is None for p in constrained) or handler.is_valid(row)
+        return all(row[p] is None for p in constrained) or is_valid(row)
 
-    if not handler.is_valid((None,) * n):
+    if not is_valid((None,) * n):
         return TestSuite(model, t, [],
                          diagnostic="model has no valid test cases")
 
@@ -114,6 +133,18 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
         row = _row(n, first, values)
         if valid(row):
             rows.append(row)
+    masks = {p: _value_masks(rows, p, sizes[p]) for p in first}
+
+    # Key of a combination of t-1 placed parameters: their positions in
+    # placement order folded with radix n, then their values with radix
+    # ``radix``, so keys sort in enumeration order.  Slot s of the
+    # combination adds offsets[s][j] for position j and w * value_weight[s]
+    # for value w.
+    radix = max(sizes)
+    value_span = radix ** (t - 1)
+    value_weight = [radix ** (t - 2 - s) for s in range(t - 1)]
+    offsets = [[j * n ** (t - 2 - s) * value_span for j in range(n)]
+               for s in range(t - 1)]
 
     buf: list[Optional[int]] = [None] * n
     for idx in range(t, n):
@@ -122,26 +153,28 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
         dn = sizes[p_new]
 
         # Valid t-way combinations involving the new parameter: pending[v]
-        # holds each (subset, prefix) still uncovered with p_new = v, and
-        # ``keys`` lists every (subset, prefix) in enumeration order.
-        pending: list[set[Combo]] = [set() for _ in range(dn)]
-        keys: list[Combo] = []
+        # holds the key of each combination still uncovered with p_new = v.
+        pending: list[set[int]] = [set() for _ in range(dn)]
         new_dropped = p_new in handler.dropped
-        for subset in combinations(placed, t - 1):
+        for positions in combinations(range(idx), t - 1):
+            subset = [placed[j] for j in positions]
+            pos_key = 0
+            for j in positions:
+                pos_key = pos_key * n + j
             # The shortcut of ``valid``, decided once for the whole subset.
             unchecked = new_dropped and all(q in handler.dropped for q in subset)
             for prefix in product(*(range(sizes[q]) for q in subset)):
-                key = (subset, prefix)
-                keys.append(key)
+                key = pos_key
+                for q, w in zip(subset, prefix):
+                    buf[q] = w
+                    key = key * radix + w
                 if unchecked:
                     for s in pending:
                         s.add(key)
                     continue
-                for q, v in zip(subset, prefix):
-                    buf[q] = v
                 for v in range(dn):
                     buf[p_new] = v
-                    if handler.is_valid(buf):
+                    if is_valid(buf):
                         pending[v].add(key)
             for q in subset:
                 buf[q] = None
@@ -149,14 +182,25 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
 
         # Horizontal growth: extend every row with the best valid value.
         for row in rows:
-            fixed = [q for q in placed if row[q] is not None]
-            seen = set(zip(combinations(fixed, t - 1),
-                           combinations([row[q] for q in fixed], t - 1)))
+            vals = [row[q] for q in placed]
+            if t == 2:
+                seen = {o + w for o, w in zip(offsets[0], vals) if w is not None}
+            elif t == 3:
+                heads = [o + w * radix for o, w in zip(offsets[0], vals) if w is not None]
+                tails = [o + w for o, w in zip(offsets[1], vals) if w is not None]
+                seen = {a + b for i, a in enumerate(heads, 1) for b in tails[i:]}
+            else:
+                slots = [[o + w * vw for o, w in zip(offs, vals) if w is not None]
+                         for offs, vw in zip(offsets, value_weight)]
+                seen = {sum(slot[k] for slot, k in zip(slots, ks))
+                        for ks in combinations(range(idx - vals.count(None)), t - 1)}
+            # The shortcut of ``valid``, decided once for the whole row.
+            free = new_dropped and all(row[p] is None for p in constrained)
             best_v = None
-            best: set[Combo] = set()
+            best: set[int] = set()
             for v in range(dn):
                 row[p_new] = v
-                if not valid(row):
+                if not (free or is_valid(row)):
                     continue
                 covered = pending[v] & seen
                 if best_v is None or len(covered) > len(best):
@@ -164,28 +208,48 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
             row[p_new] = best_v  # None when no valid extension exists
             if best_v is not None:
                 pending[best_v] -= best
+        masks[p_new] = _value_masks(rows, p_new, dn)
 
-        # Vertical growth: place what horizontal growth did not cover.
-        for key in keys:
-            subset, prefix = key
-            params = subset + (p_new,)
+        # Vertical growth: place what horizontal growth did not cover, in
+        # key order, which is enumeration order.
+        for key in sorted(set().union(*pending)):
+            pos_key, value_key = divmod(key, value_span)
+            pairs = []
+            for _ in range(t - 1):
+                pos_key, j = divmod(pos_key, n)
+                value_key, w = divmod(value_key, radix)
+                pairs.append((placed[j], w))
             for v in range(dn):
                 if key not in pending[v]:
                     continue
-                values = prefix + (v,)
-                pairs = list(zip(params, values))
-                if any(all(r[p] == w for p, w in pairs) for r in rows):
+                full = pairs + [(p_new, v)]
+                covering = compatible = -1
+                for p, w in full:
+                    m = masks[p]
+                    covering &= m[w]
+                    compatible &= m[w] | m[None]
+                if covering:
                     continue  # covered by a row changed earlier in this phase
-                for r in rows:
-                    if all(r[p] is None or r[p] == w for p, w in pairs):
-                        candidate = list(r)
-                        for p, w in pairs:
-                            candidate[p] = w
-                        if valid(candidate):
-                            r[:] = candidate
-                            break
+                while compatible:  # the rows in order, lowest bit first
+                    bit = compatible & -compatible
+                    r = rows[bit.bit_length() - 1]
+                    candidate = list(r)
+                    for p, w in full:
+                        candidate[p] = w
+                    if valid(candidate):
+                        for p, w in full:
+                            if r[p] is None:
+                                masks[p][None] ^= bit
+                                masks[p][w] |= bit
+                        r[:] = candidate
+                        break
+                    compatible ^= bit
                 else:
-                    rows.append(_row(n, params, values))
+                    bit = 1 << len(rows)
+                    row = _row(n, [p for p, _ in full], [w for _, w in full])
+                    rows.append(row)
+                    for p in order[:idx + 1]:
+                        masks[p][row[p]] |= bit
 
     if fill_dashes:
         for row in rows:

@@ -278,6 +278,23 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert "bad.model: unknown parameter" in err
 
+    @pytest.mark.parametrize("option", [("--trim", "-1"), ("--timeout", "-5"),
+                                        ("--timeout", "0"), ("--timeout", "nan"),
+                                        ("--timeout", "inf")])
+    def test_bad_trim_or_timeout_fails_before_any_run(self, tmp_path, printer_path,
+                                                      capsys, option):
+        model_dir = tmp_path / "suite"
+        model_dir.mkdir()
+        shutil.copy(printer_path, model_dir / "printer.model")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", str(model_dir), "-t", "2", "--handler", "bdd-and",
+                     "--repeats", "3", *option, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert option[0][2:] in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_overtrimmed_repeats_rejected(self, tmp_path, printer_path, capsys):
         model_dir = tmp_path / "suite"
         model_dir.mkdir()
