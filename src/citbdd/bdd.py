@@ -115,18 +115,8 @@ class BddManager:
 
     def _apply(self, op: Op, a: int, b: int) -> int:
         if op is Op.AND:
-            tag = "and"
-            if a == FALSE or b == FALSE:
-                return FALSE
-            if a == TRUE:
-                return b
-            if b == TRUE:
-                return a
-            if a == b:
-                return a
-            if a > b:
-                a, b = b, a
-        elif op is Op.OR:
+            return self._and(a, b)
+        if op is Op.OR:
             tag = "or"
             if a == TRUE or b == TRUE:
                 return TRUE
@@ -174,6 +164,33 @@ class BddManager:
         a0, a1 = (self._low[a], self._high[a]) if la == level else (a, a)
         b0, b1 = (self._low[b], self._high[b]) if lb == level else (b, b)
         res = self._mk(level, self._apply(op, a0, b0), self._apply(op, a1, b1))
+        self._cache[key] = res
+        return res
+
+    def _and(self, a: int, b: int) -> int:
+        """``a ∧ b``, the one AND path (``_apply`` hands ``Op.AND`` here):
+        a recursion with no operator dispatch that keeps the terminal cases,
+        the ``("and", a, b)`` cache key with ``a < b`` and the low-then-high
+        order, so it makes the nodes and cache entries ``_apply`` would."""
+        if a > b:
+            a, b = b, a
+        # With a <= b, a FALSE operand is a, and a TRUE one is a unless both are.
+        if a == FALSE:
+            return FALSE
+        if a == TRUE or a == b:
+            return b
+        key = ("and", a, b)
+        res = self._cache.get(key)
+        if res is not None:
+            return res
+        la, lb = self._level[a], self._level[b]
+        if la == lb:
+            res = self._mk(la, self._and(self._low[a], self._low[b]),
+                           self._and(self._high[a], self._high[b]))
+        elif la < lb:
+            res = self._mk(la, self._and(self._low[a], b), self._and(self._high[a], b))
+        else:
+            res = self._mk(lb, self._and(a, self._low[b]), self._and(a, self._high[b]))
         self._cache[key] = res
         return res
 

@@ -4,15 +4,16 @@ Subcommands::
 
     citbdd generate MODEL -t 2 --handler bdd-partial-up -o suite.csv
     citbdd verify MODEL suite.csv -t 2
+    citbdd verify MODEL suite.csv -t 2 --indices   # a generate --indices suite
     citbdd bench MODEL_DIR -t 3 --repeats 12 --trim 1 -o bench.csv
 
 Suites are CSV files: the header row holds the parameter names, each
 following row one test case with value labels (0-based indices with
-``--indices``) and ``-`` for unspecified entries.  Benchmark output is one
-record per (instance, handler) with columns
-``instance,handler,t,status,seconds,suite_size``, written as each record
-finishes; a second file with suffix ``.cactus.csv`` holds per-handler
-sorted times for cactus plots.
+``--indices``, which ``verify`` must then be given too) and ``-`` for
+unspecified entries.  Benchmark output is one record per (instance,
+handler) with columns ``instance,handler,t,status,seconds,suite_size``,
+written as each record finishes; a second file with suffix
+``.cactus.csv`` holds per-handler sorted times for cactus plots.
 
 Exit codes: 0 on success, 1 when ``verify`` finds the suite failed, and 2
 with one ``error:`` line on stderr for any bad input or exhausted resource.
@@ -68,22 +69,28 @@ def _format_row(model: SutModel, row: Assignment, indices: bool) -> list[str]:
     return cells
 
 
-def _parse_cell(model: SutModel, param: int, cell: str) -> Optional[int]:
+def _parse_cell(model: SutModel, param: int, cell: str, indices: bool) -> Optional[int]:
     cell = cell.strip()
     if cell == "-":
         return None
     domain = model.params[param].domain
-    if cell in domain:
+    if not indices and cell in domain:
         return domain.index(cell)
-    if cell.isdigit():
+    # ASCII digits only: str.isdigit also passes "²", which int() rejects.
+    if cell.isascii() and cell.isdigit():
         v = int(cell)
-        if 0 <= v < len(domain):
+        if v < len(domain):
             return v
     raise ValueError(f"unknown value {cell!r} for parameter "
                      f"{model.params[param].name!r}")
 
 
-def read_suite_csv(model: SutModel, stream: TextIO) -> list[Assignment]:
+def read_suite_csv(model: SutModel, stream: TextIO,
+                   indices: bool = False) -> list[Assignment]:
+    """Read a suite CSV.  A cell is ``-``, a value label or, failing that, a
+    0-based index; with ``indices`` (the ``write_suite_csv`` option of the
+    same name) every cell is ``-`` or an index and labels are not read, so
+    a label that looks like an index cannot shadow it."""
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -100,7 +107,7 @@ def read_suite_csv(model: SutModel, stream: TextIO) -> list[Assignment]:
         if len(line) != model.n:
             raise ValueError(f"row {len(rows) + 1} has {len(line)} cells, "
                              f"expected {model.n}")
-        rows.append(tuple(_parse_cell(model, p, cell)
+        rows.append(tuple(_parse_cell(model, p, cell, indices)
                           for p, cell in enumerate(line)))
     return rows
 
@@ -132,10 +139,10 @@ def cmd_generate(model_path: str, t: int, handler_kind: str, fill: bool,
 
 
 def cmd_verify(model_path: str, suite_path: str, t: int,
-               handler_kind: str = HANDLER_PARTIAL_UP) -> int:
+               handler_kind: str = HANDLER_PARTIAL_UP, indices: bool = False) -> int:
     model = _load_model(model_path)
     with open(suite_path, "r", encoding="utf-8", newline="") as fh:
-        rows = read_suite_csv(model, fh)
+        rows = read_suite_csv(model, fh, indices)
     report = verify(model, rows, t, build_handler(model, handler_kind))
     print(report.describe(model))
     return 0 if report.ok else 1
@@ -297,6 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", help="suite CSV file")
     ver.add_argument("--strength", "-t", type=int, required=True)
     ver.add_argument("--handler", choices=HANDLER_KINDS, default=HANDLER_PARTIAL_UP)
+    ver.add_argument("--indices", action="store_true",
+                     help="read 0-based value indices, as written by generate --indices")
 
     ben = sub.add_parser("bench", help="time generation over a directory of models")
     ben.add_argument("model_dir", help="directory containing *.model files")
@@ -321,7 +330,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_generate(args.model, args.strength, args.handler, args.fill,
                                 args.output, args.indices)
         if args.command == "verify":
-            return cmd_verify(args.model, args.suite, args.strength, args.handler)
+            return cmd_verify(args.model, args.suite, args.strength, args.handler,
+                              args.indices)
         handlers = args.handler or [HANDLER_AND, HANDLER_PARTIAL_UP, HANDLER_PARTIAL_DOWN]
         return cmd_bench(args.model_dir, args.strength, handlers,
                          repeats=args.repeats, trim=args.trim,

@@ -3,8 +3,9 @@
 Each parameter that occurs in a constraint gets a contiguous range of
 Boolean variables, least significant bit first.  ``Encoding.var_bits``
 spells that layout out once: entry ``k`` is the ``(parameter, bit)`` that
-BDD variable ``k`` holds, in level order, and every encoder of an
-assignment reads it.  Two encodings exist:
+BDD variable ``k`` holds, in level order, and ``encode_full`` reads it;
+the conjunction check builds its cube table from ``offsets`` and
+``widths``, the same layout per parameter.  Two encodings exist:
 
 * ``FULL`` uses ceil(log2 |D|) bits per parameter and can represent only
   fixed values;
@@ -77,21 +78,23 @@ def _occurrences(model: SutModel) -> list[tuple[int, tuple[int, ...]]]:
     relation node.
     """
     occs: list[tuple[int, tuple[int, ...]]] = []
-
-    def walk(expr: ConstraintExpr, path: tuple[int, ...]) -> None:
+    # An explicit stack, not a recursive closure: a closure that calls
+    # itself is a reference cycle, left for the cycle collector.  Children
+    # are pushed right first, so they are visited left to right.
+    stack: list[tuple[ConstraintExpr, tuple[int, ...]]] = [
+        (c, (k,)) for k, c in reversed(list(enumerate(model.constraints)))]
+    while stack:
+        expr, path = stack.pop()
         if isinstance(expr, Not):
-            walk(expr.child, path + (0,))
+            stack.append((expr.child, path + (0,)))
         elif isinstance(expr, (And, Or, Implies)):
-            walk(expr.left, path + (0,))
-            walk(expr.right, path + (1,))
+            stack.append((expr.right, path + (1,)))
+            stack.append((expr.left, path + (0,)))
         elif isinstance(expr, (ParamEqParam, ParamNeqParam)):
             occs.append((expr.left, path + (0,)))
             occs.append((expr.right, path + (1,)))
         else:
             occs.append((expr.param, path + (0,)))
-
-    for k, c in enumerate(model.constraints):
-        walk(c, (k,))
     return occs
 
 

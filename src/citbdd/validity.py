@@ -15,19 +15,27 @@ Three interchangeable handlers implement the same contract:
   is valid.
 
 The check is ``handler.is_valid``, and each handler has one route through
-it.  The oracle and the conjunction handler validate the assignment once
-with ``check_assignment`` and then decide it; the conjunction handler
-builds its cube from the encoding's ``var_bits`` table (parameter and bit
-per variable, in level order).  The traversal handler reads ``g`` as a
-multi-valued diagram: its constructor builds a jump table per constrained
-parameter, from each node the walk can stand on when it reaches the
-parameter's block of bits to the node each value's codeword (and the
-all-ones codeword) leads to through the block, so a check
-is one table step per constrained parameter, with the range check of the
-value in the same step, and no bit vector.  An out-of-range value or a
-wrong length goes to ``check_assignment``, so every handler rejects bad
-input with the same message.  Per-model tables are built in the handler's
-constructor and live as long as the handler.
+it.  The oracle validates the assignment with ``check_assignment`` and
+then decides it.  The conjunction handler keeps a cube table, the
+``(variable, bit)`` literals of every value of every constrained
+parameter: a check range checks each fixed value while it picks that
+value's literals, range checks the dropped parameters, and only then
+builds the cube bottom-up and conjoins it with ``f`` through
+``BddManager._and``, the manager's one AND recursion, so it makes the
+same nodes and computed-table entries as ``apply``.  Most checks repeat a
+cube seen before and end at the computed-table entry for ``cube ∧ f``,
+the cross-operation memo of Brace, Rudell and Bryant (DAC 1990), so the
+check's own overhead around the AND is most of its cost.  The traversal
+handler reads ``g`` as a multi-valued diagram: its constructor builds a
+jump table per constrained parameter, from each node the walk can stand
+on when it reaches the parameter's block of bits to the node each value's
+codeword (and the all-ones codeword) leads to through the block, so a
+check is one table step per constrained parameter, with the range check
+of the value in the same step, and no bit vector.  In both BDD handlers
+an out-of-range value or a wrong length goes to ``check_assignment``, so
+every handler rejects bad input with the same message, and no node is
+made for a rejected assignment.  Per-model tables are built in the
+handler's constructor and live as long as the handler.
 
 All handlers agree on every assignment; the traversal handler trades a more
 expensive setup (one ``extend_dash`` pass per parameter, then the jump
@@ -41,7 +49,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .bdd import TRUE, BddManager, Op
+from .bdd import FALSE, TRUE, BddManager
 from .encode import (
     CompiledConstraints, Encoding, EncodingMode,
     compile_constraints, make_encoding,
@@ -133,29 +141,55 @@ class OracleHandler(ValidityHandler):
 class ConjunctionHandler(ValidityHandler):
     """Validity via conjunction: the cube of the fixed constrained values is
     ANDed with the compiled constraint function; the assignment is valid
-    unless the conjunction is constant false."""
+    unless the conjunction is constant false.
+
+    The constructor keeps one entry per constrained parameter, bottom-most
+    first: ``(p, size, codes)``, where ``codes[v]`` holds value ``v``'s
+    ``(variable, bit)`` literals, lowest variable first.  A check picks the
+    fixed values' literals in one pass, range checking each value, builds
+    the cube bottom-up and conjoins it with ``f`` by ``BddManager._and``.
+    """
 
     name = "bdd-and"
 
     def __init__(self, cc: CompiledConstraints):
-        if cc.encoding.mode is not EncodingMode.FULL:
+        enc = cc.encoding
+        if enc.mode is not EncodingMode.FULL:
             raise ValueError("conjunction checking expects the FULL encoding")
         self.cc = cc
-        self.dropped = cc.encoding.dropped
+        self.dropped = enc.dropped
+        sizes = cc.model.sizes
+        self._n = len(sizes)
+        self._dropped_sizes = tuple((p, sizes[p]) for p in sorted(enc.dropped))
+        self._cubes = tuple(
+            (p, size, tuple(tuple((first + j, (v >> j) & 1) for j in range(width))
+                            for v in range(size)))
+            for p, size, first, width
+            in reversed(tuple(zip(enc.order, enc.sizes, enc.offsets, enc.widths))))
 
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
         cc = self.cc
-        check_assignment(cc.model, assignment)
+        if len(assignment) != self._n:
+            check_assignment(cc.model, assignment)
+        picked = []
+        for p, size, codes in self._cubes:
+            v = assignment[p]
+            if v is not None:
+                if not 0 <= v < size:
+                    check_assignment(cc.model, assignment)
+                picked.append(codes[v])
+        for p, size in self._dropped_sizes:
+            v = assignment[p]
+            if v is not None and not 0 <= v < size:
+                check_assignment(cc.model, assignment)
+        # Every value has passed, so only now is a node made.
         mgr = cc.manager
-        literals = [(var, (v >> j) & 1)
-                    for var, (p, j) in enumerate(cc.encoding.var_bits)
-                    if (v := assignment[p]) is not None]
-        if not literals:
-            # Nothing constrained is fixed: valid exactly when any valid test
-            # case exists at all.
-            return not mgr.is_false(cc.f)
-        cube = mgr.make_assignment_cube(literals)
-        return not mgr.is_false(mgr.apply(Op.AND, cube, cc.f))
+        mk = mgr._mk
+        cube = TRUE
+        for code in picked:
+            for var, bit in reversed(code):
+                cube = mk(var, FALSE, cube) if bit else mk(var, cube, FALSE)
+        return mgr._and(cube, cc.f) != FALSE
 
 
 # ---------------------------------------------------------------------------

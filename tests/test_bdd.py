@@ -83,6 +83,20 @@ class TestApply:
         for bits in all_bits(6):
             assert mgr.eval(f, bits) == printer_formula(bits)
 
+    def test_and_matches_de_morgan_on_random_bdds(self):
+        # AND has its own recursion; OR and NOT go through other code.
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            mgr = BddManager(n)
+            fs = [build(mgr, random_formula(rng, n, rng.randint(1, 16)))
+                  for _ in range(4)] + [FALSE, TRUE]
+            for a in fs:
+                for b in fs:
+                    dual = mgr.negate(mgr.apply(Op.OR, mgr.negate(a), mgr.negate(b)))
+                    assert mgr.apply(Op.AND, a, b) == dual, (a, b)
+            assert scan_reduction_violations(mgr) == []
+
     def test_foreign_ref(self):
         mgr = BddManager(2)
         with pytest.raises(BddError, match="unknown node handle"):

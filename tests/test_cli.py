@@ -140,6 +140,37 @@ class TestVerifyCommand:
         assert main(["verify", str(printer_path), str(path), "-t", "2"]) == 2
         assert "unknown value" in capsys.readouterr().err
 
+    def test_indices_suite_with_numeric_labels(self, tmp_path, capsys):
+        # Index 2 of "a" is the label "8"; read as a label, "2" would be
+        # index 0 and leave a valid suite with uncovered combinations.
+        model_path = tmp_path / "numeric.model"
+        model_path.write_text("[PARAMETERS]\na: 2, 4, 8\nb: x, y\nc: 0, 1\n"
+                              "[CONSTRAINTS]\na = 8 => b = x\n", encoding="utf-8")
+        out = tmp_path / "suite.csv"
+        assert main(["generate", str(model_path), "-t", "2", "--indices",
+                     "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(model_path), str(out), "-t", "2",
+                     "--indices"]) == 0
+        assert "OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cell", ["\u00b2", "3", "x", "B4", "-1", ""])
+    def test_indices_rejects_non_index_cells(self, tmp_path, printer_path, cell, capsys):
+        path = tmp_path / "suite.csv"
+        path.write_text(f"Paper size,Feed tray,Paper type\n{cell},0,1\n",
+                        encoding="utf-8")
+        assert main(["verify", str(printer_path), str(path), "-t", "2",
+                     "--indices"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: unknown value {cell!r} for parameter 'Paper size'\n"
+
+    def test_superscript_digit_is_an_unknown_label(self, tmp_path, printer_path, capsys):
+        path = tmp_path / "suite.csv"
+        path.write_text("Paper size,Feed tray,Paper type\n\u00b2,Bypass,Thin\n",
+                        encoding="utf-8")
+        assert main(["verify", str(printer_path), str(path), "-t", "2"]) == 2
+        assert "unknown value '\u00b2'" in capsys.readouterr().err
+
     def test_column_mismatch(self, tmp_path, printer_path, capsys):
         path = tmp_path / "suite.csv"
         path.write_text("Size,Tray,Type\nB4,Bypass,Thin\n")
@@ -159,6 +190,15 @@ class TestSuiteCsvRoundTrip:
         write_suite_csv(printer, KNOWN_GOOD_PRINTER_SUITE, buf, indices=True)
         rows = read_suite_csv(printer, io.StringIO(buf.getvalue()))
         assert rows == KNOWN_GOOD_PRINTER_SUITE
+
+    def test_indices_ignore_labels(self):
+        m = parse_model("[PARAMETERS]\na: 2, 4, 8\n")
+        buf = io.StringIO()
+        write_suite_csv(m, [(0,), (2,), (None,)], buf, indices=True)
+        text = buf.getvalue()
+        assert read_suite_csv(m, io.StringIO(text), indices=True) == [(0,), (2,), (None,)]
+        # Read as labels, the cell "2" names the value 2, which is index 0.
+        assert read_suite_csv(m, io.StringIO(text)) == [(0,), (0,), (None,)]
 
     def test_quoted_labels_with_commas(self):
         m = parse_model('[PARAMETERS]\nx: "a,b", plain\n')

@@ -1,13 +1,13 @@
-"""Golden suites: the exact CSV output of ``bdd-partial-up`` on every
-shipped model, the exact sequence of checks that produced it, and the
-exact check count of one large run.
+"""Golden suites: the exact CSV output of ``bdd-partial-up`` and
+``bdd-and`` on every shipped model, the exact sequence of checks that
+produced it, and the exact check count of one large run.
 
 The hashes pin the suites byte for byte, so a rewrite of IPOG's
 bookkeeping that changes any row, row order or tie-break fails here.  The
 check sequence is pinned too, so a rewrite that reaches the same suite
-through other or reordered checks fails as well.  C5 already shows that
-every handler produces the same suite, so one handler kind stands for all
-of them.
+through other or reordered checks fails as well.  Every handler gives the
+same answers, so both kinds share one table: a rewrite of either check
+that changes an answer fails here too.
 
 Every shipped model is pinned at t=1, 2 and 3, and the models of 4 to 12
 parameters at t=4 as well, so the combination keys are pinned with an
@@ -222,10 +222,11 @@ def _suite_sha256(model, rows):
     return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
 
 
+@pytest.mark.parametrize("kind", ["bdd-partial-up", "bdd-and"])
 @pytest.mark.parametrize("name,t,fill", sorted(GOLDEN_SHA256))
-def test_suite_matches_golden(name, t, fill):
+def test_suite_matches_golden(name, t, fill, kind):
     model = load_model(name)
-    handler = CountingHandler(build_handler(model, "bdd-partial-up"))
+    handler = CountingHandler(build_handler(model, kind))
     suite = generate(model, t, handler, fill_dashes=fill)
     assert _suite_sha256(model, suite.rows) == GOLDEN_SHA256[name, t, fill]
     assert handler.sha256.hexdigest() == GOLDEN_CALLS_SHA256[name, t, fill]

@@ -1,6 +1,7 @@
 """Tests for the three validity handlers and the partial-test-case BDD."""
 
 import gc
+import hashlib
 import random
 import weakref
 from itertools import product
@@ -9,6 +10,7 @@ import pytest
 
 from citbdd.bdd import BddManager, ResourceLimitError
 from citbdd.encode import EncodingMode, compile_constraints, encode_full, make_encoding
+from citbdd.ipog import generate
 from citbdd.model import eval_constraints, parse_model
 from citbdd.validity import (
     HANDLER_KINDS, ConjunctionHandler, OracleHandler, QuantOrder,
@@ -101,6 +103,36 @@ class TestConjunctionCheck:
         cc = _printer_cc(printer, EncodingMode.WITH_DASH)
         with pytest.raises(ValueError, match="FULL"):
             ConjunctionHandler(cc)
+
+    def test_synth20_t3_store_is_pinned(self):
+        # The node store after a whole run, node for node, as the generic
+        # route (make_assignment_cube, then apply) left it: the check must
+        # make the same nodes in the same order and share the cache.
+        model = load_model("synth20")
+        handler = build_handler(model, "bdd-and")
+        generate(model, 3, handler)
+        mgr = handler.cc.manager
+        assert mgr.node_count == 44_803
+        assert hashlib.sha256(repr(list(mgr.nodes())).encode("ascii")).hexdigest() == \
+            "91c71c7d0b03e0ba0bb486c54ee9550f427371457f1d5aac83794d45d0235bf8"
+
+    def test_rejected_assignment_makes_no_node(self):
+        # Every value is range checked before the cube's first node is made,
+        # so a bad value anywhere leaves the store as it was.
+        model = load_model("synth20")
+        handler = build_handler(model, "bdd-and")
+        mgr = handler.cc.manager
+        rng = random.Random(4)
+        row = [rng.randrange(size) for size in model.sizes]
+        assert handler.dropped and len(handler.dropped) < model.n
+        for p in range(model.n):
+            for bad in (model.sizes[p], -1):
+                before = mgr.node_count
+                with pytest.raises(ValueError, match="out of range"):
+                    handler.is_valid(row[:p] + [bad] + row[p + 1:])
+                assert mgr.node_count == before, (p, bad)
+        handler.is_valid(row)
+        assert mgr.node_count > before  # the same row, in range, does make nodes
 
 
 class TestPartialBdd:
@@ -312,6 +344,21 @@ class TestHandlerFactory:
                 store = weakref.ref(handler.pb.manager)
                 del handler
                 assert store() is None, kind
+        finally:
+            gc.enable()
+
+    def test_set_up_leaves_nothing_for_the_cycle_collector(self):
+        # Set-up of every kind on every shipped model is freed by reference
+        # counting alone, so a run leaves no garbage to the collector.
+        models = {path.stem: load_model(path.stem)
+                  for path in sorted(MODELS_DIR.glob("*.model"))}
+        gc.collect()
+        gc.disable()
+        try:
+            for name, model in models.items():
+                for kind in HANDLER_KINDS:
+                    build_handler(model, kind)
+                    assert gc.collect() == 0, (name, kind)
         finally:
             gc.enable()
 
