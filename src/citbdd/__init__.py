@@ -7,7 +7,7 @@ case cube with the compiled constraint BDD, or by a single traversal of a
 BDD that encodes every valid full and partial test case.
 """
 
-from .bdd import FALSE, TRUE, BddError, BddManager, Op, ResourceLimitError
+from .bdd import FALSE, TRUE, BddError, BddManager, Op
 from .encode import (
     CompiledConstraints, Encoding, EncodingMode,
     compile_constraints, constrained_params, encode_full, make_encoding,

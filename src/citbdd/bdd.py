@@ -17,7 +17,7 @@ independent.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 FALSE = 0
 TRUE = 1
@@ -34,16 +34,11 @@ class BddError(Exception):
     """Misuse of the engine: bad handles, bad cubes, bad variable indices."""
 
 
-class ResourceLimitError(BddError):
-    """The node store grew past the configured ``max_nodes`` limit."""
-
-
 class BddManager:
-    def __init__(self, var_count: int, max_nodes: Optional[int] = None):
+    def __init__(self, var_count: int):
         if var_count < 0:
             raise ValueError("var_count must be >= 0")
         self.var_count = var_count
-        self.max_nodes = max_nodes
         # Parallel arrays indexed by handle; entries 0/1 are the terminals.
         self._level = [var_count, var_count]
         self._low = [FALSE, TRUE]
@@ -60,9 +55,6 @@ class BddManager:
         node = self._unique.get(key)
         if node is not None:
             return node
-        if self.max_nodes is not None and len(self._level) - 2 >= self.max_nodes:
-            raise ResourceLimitError(
-                f"node store exceeded the limit of {self.max_nodes} nodes")
         node = len(self._level)
         self._level.append(level)
         self._low.append(low)
@@ -336,11 +328,6 @@ class BddManager:
             node = self._high[node] if bits[self._level[node]] else self._low[node]
         return node == TRUE
 
-    def is_false(self, f: int) -> bool:
-        """Constant-time check for the FALSE terminal."""
-        self._check(f)
-        return f == FALSE
-
     # -- inspection ---------------------------------------------------------
 
     @property
@@ -370,30 +357,31 @@ class BddManager:
     def count_solutions(self, f: int) -> int:
         """Number of satisfying valuations of ``f`` over all variables."""
         self._check(f)
-        memo: dict[int, int] = {}
+        levels, low, high = self._level, self._low, self._high
+        # Post-order over an explicit stack: a node is counted once both of
+        # its children are, so no recursion depth grows with ``var_count``.
+        counts = {FALSE: 0, TRUE: 1}
+        stack = [f]
+        while stack:
+            node = stack[-1]
+            if node in counts:
+                stack.pop()
+                continue
+            lo, hi = low[node], high[node]
+            if lo not in counts or hi not in counts:
+                stack.append(hi)
+                stack.append(lo)
+                continue
+            stack.pop()
+            below = levels[node] + 1
+            counts[node] = ((counts[lo] << (levels[lo] - below))
+                            + (counts[hi] << (levels[hi] - below)))
+        return counts[f] << levels[f]
 
-        def rec(node: int) -> int:
-            if node == FALSE:
-                return 0
-            if node == TRUE:
-                return 1
-            cached = memo.get(node)
-            if cached is not None:
-                return cached
-            level = self._level[node]
-            lo, hi = self._low[node], self._high[node]
-            total = (rec(lo) << (self._level[lo] - level - 1)) + \
-                    (rec(hi) << (self._level[hi] - level - 1))
-            memo[node] = total
-            return total
-
-        top = self._level[f] if f > TRUE else self.var_count
-        return rec(f) << top
-
-    def to_dot(self, f: int, name: str = "bdd") -> str:
+    def to_dot(self, f: int) -> str:
         """DOT graph of ``f``: 0-edges dashed, 1-edges solid."""
         self._check(f)
-        lines = [f"digraph {name} {{"]
+        lines = ["digraph bdd {"]
         lines.append('  false [label="F", shape=box];')
         lines.append('  true [label="T", shape=box];')
 

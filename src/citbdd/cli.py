@@ -337,7 +337,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          repeats=args.repeats, trim=args.trim,
                          timeout_secs=args.timeout, out_csv=args.output)
     except (OSError, ValueError, BddError, MemoryError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A bare MemoryError has no message; name it so the line says what ran out.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

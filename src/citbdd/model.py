@@ -297,34 +297,38 @@ _REL_SYMBOL = {
 
 def format_constraint(expr: ConstraintExpr, model: SutModel) -> str:
     """Render ``expr`` so that re-parsing it yields a structurally equal tree."""
+    return _format(expr, _PREC_IMPLIES, model)
 
-    def rec(e: ConstraintExpr, min_prec: int) -> str:
-        if isinstance(e, Not):
-            text = "!" + rec(e.child, _PREC_NOT)
-            prec = _PREC_NOT
-        elif isinstance(e, And):
-            text = rec(e.left, _PREC_AND) + " && " + rec(e.right, _PREC_AND + 1)
-            prec = _PREC_AND
-        elif isinstance(e, Or):
-            text = rec(e.left, _PREC_OR) + " || " + rec(e.right, _PREC_OR + 1)
-            prec = _PREC_OR
-        elif isinstance(e, Implies):
-            text = rec(e.left, _PREC_IMPLIES + 1) + " => " + rec(e.right, _PREC_IMPLIES)
-            prec = _PREC_IMPLIES
-        elif isinstance(e, _PARAM_RELATIONS):
-            text = (_quote(model.params[e.left].name) + " " + _REL_SYMBOL[type(e)]
-                    + " " + _quote(model.params[e.right].name))
-            prec = _PREC_ATOM
-        else:
-            param = model.params[e.param]
-            text = (_quote(param.name) + " " + _REL_SYMBOL[type(e)]
-                    + " " + _quote(param.domain[e.value]))
-            prec = _PREC_ATOM
-        if prec < min_prec:
-            return "(" + text + ")"
-        return text
 
-    return rec(expr, _PREC_IMPLIES)
+def _format(e: ConstraintExpr, min_prec: int, model: SutModel) -> str:
+    """``e`` rendered, in parentheses if it binds looser than ``min_prec``."""
+    if isinstance(e, Not):
+        text = "!" + _format(e.child, _PREC_NOT, model)
+        prec = _PREC_NOT
+    elif isinstance(e, And):
+        text = (_format(e.left, _PREC_AND, model) + " && "
+                + _format(e.right, _PREC_AND + 1, model))
+        prec = _PREC_AND
+    elif isinstance(e, Or):
+        text = (_format(e.left, _PREC_OR, model) + " || "
+                + _format(e.right, _PREC_OR + 1, model))
+        prec = _PREC_OR
+    elif isinstance(e, Implies):
+        text = (_format(e.left, _PREC_IMPLIES + 1, model) + " => "
+                + _format(e.right, _PREC_IMPLIES, model))
+        prec = _PREC_IMPLIES
+    elif isinstance(e, _PARAM_RELATIONS):
+        text = (_quote(model.params[e.left].name) + " " + _REL_SYMBOL[type(e)]
+                + " " + _quote(model.params[e.right].name))
+        prec = _PREC_ATOM
+    else:
+        param = model.params[e.param]
+        text = (_quote(param.name) + " " + _REL_SYMBOL[type(e)]
+                + " " + _quote(param.domain[e.value]))
+        prec = _PREC_ATOM
+    if prec < min_prec:
+        return "(" + text + ")"
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,13 @@ from .encode import (
 from .model import SutModel, check_assignment, referenced_params
 
 
+HANDLER_ORACLE = "oracle"
+HANDLER_AND = "bdd-and"
+HANDLER_PARTIAL_UP = "bdd-partial-up"
+HANDLER_PARTIAL_DOWN = "bdd-partial-down"
+HANDLER_KINDS = (HANDLER_AND, HANDLER_PARTIAL_UP, HANDLER_PARTIAL_DOWN, HANDLER_ORACLE)
+
+
 class ValidityHandler(ABC):
     """Decides validity of assignments for one model."""
 
@@ -83,7 +90,7 @@ class OracleHandler(ValidityHandler):
     the other handlers are tested against.
     """
 
-    name = "oracle"
+    name = HANDLER_ORACLE
 
     def __init__(self, model: SutModel):
         self.model = model
@@ -107,31 +114,35 @@ class OracleHandler(ValidityHandler):
             if rem == 0 and not model.constraints[ci].evaluate(values):
                 return False
         unfixed = sorted(p for p in self._constrained if values[p] is None)
-        sizes = model.sizes
-        by_param = self._by_param
+        return self._extends(0, unfixed, values, remaining)
 
-        def dfs(k: int) -> bool:
-            if k == len(unfixed):
+    # A method with its state passed in, not a nested closure: a closure
+    # that calls itself is a reference cycle left to the cycle collector.
+    def _extends(self, k: int, unfixed: list[int], values: list[Optional[int]],
+                 remaining: list[int]) -> bool:
+        """True iff ``values`` extends to a valid test case over
+        ``unfixed[k:]``; ``remaining[ci]`` counts constraint ``ci``'s unfixed
+        parameters."""
+        if k == len(unfixed):
+            return True
+        constraints = self.model.constraints
+        p = unfixed[k]
+        touched = self._by_param[p]
+        for v in range(self.model.sizes[p]):
+            values[p] = v
+            ok = True
+            for ci in touched:
+                remaining[ci] -= 1
+            for ci in touched:
+                if remaining[ci] == 0 and not constraints[ci].evaluate(values):
+                    ok = False
+                    break
+            if ok and self._extends(k + 1, unfixed, values, remaining):
                 return True
-            p = unfixed[k]
-            touched = by_param[p]
-            for v in range(sizes[p]):
-                values[p] = v
-                ok = True
-                for ci in touched:
-                    remaining[ci] -= 1
-                for ci in touched:
-                    if remaining[ci] == 0 and not model.constraints[ci].evaluate(values):
-                        ok = False
-                        break
-                if ok and dfs(k + 1):
-                    return True
-                for ci in touched:
-                    remaining[ci] += 1
-            values[p] = None
-            return False
-
-        return dfs(0)
+            for ci in touched:
+                remaining[ci] += 1
+        values[p] = None
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +161,7 @@ class ConjunctionHandler(ValidityHandler):
     the cube bottom-up and conjoins it with ``f`` by ``BddManager._and``.
     """
 
-    name = "bdd-and"
+    name = HANDLER_AND
 
     def __init__(self, cc: CompiledConstraints):
         enc = cc.encoding
@@ -223,8 +234,6 @@ def build_partial_bdd(cc: CompiledConstraints,
     the passes run from the root-most parameter down or from the
     terminal-most parameter up; both orders produce the same canonical
     function, but the cost of the passes can differ.
-
-    Raises ResourceLimitError if the manager's node limit is exceeded.
     """
     if cc.encoding.mode is not EncodingMode.WITH_DASH:
         raise ValueError("the partial-test-case BDD needs the WITH_DASH encoding")
@@ -257,8 +266,8 @@ class TraversalHandler(ValidityHandler):
         self.pb = pb
         enc = pb.encoding
         self.dropped = enc.dropped
-        self.name = ("bdd-partial-up" if pb.quant_order is QuantOrder.UP
-                     else "bdd-partial-down")
+        self.name = (HANDLER_PARTIAL_UP if pb.quant_order is QuantOrder.UP
+                     else HANDLER_PARTIAL_DOWN)
         sizes = pb.model.sizes
         self._n = len(sizes)
         self._dropped_sizes = tuple((p, sizes[p]) for p in sorted(enc.dropped))
@@ -298,13 +307,6 @@ class TraversalHandler(ValidityHandler):
 # ---------------------------------------------------------------------------
 # Handler factory
 # ---------------------------------------------------------------------------
-
-HANDLER_ORACLE = "oracle"
-HANDLER_AND = "bdd-and"
-HANDLER_PARTIAL_UP = "bdd-partial-up"
-HANDLER_PARTIAL_DOWN = "bdd-partial-down"
-HANDLER_KINDS = (HANDLER_AND, HANDLER_PARTIAL_UP, HANDLER_PARTIAL_DOWN, HANDLER_ORACLE)
-
 
 def build_handler(model: SutModel, kind: str) -> ValidityHandler:
     """Construct a validity handler of the given kind for ``model``."""

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citbdd.bdd import FALSE, TRUE, BddError, BddManager, Op, ResourceLimitError
+from citbdd.bdd import FALSE, TRUE, BddError, BddManager, Op
 
 from formula_oracle import (
     all_bits, build, direct_eval, random_formula, scan_reduction_violations,
@@ -275,19 +275,14 @@ class TestEval:
 
 
 class TestIsFalse:
-    def test_terminal(self):
-        mgr = BddManager(1)
-        assert mgr.is_false(FALSE) is True
-        assert mgr.is_false(TRUE) is False
-
     def test_contradiction(self):
         mgr = BddManager(2)
         x1 = mgr.mk_var(1)
-        assert mgr.is_false(mgr.apply(Op.AND, x1, mgr.negate(x1))) is True
+        assert mgr.apply(Op.AND, x1, mgr.negate(x1)) == FALSE
 
     def test_printer_f_satisfiable(self):
         mgr = BddManager(6)
-        assert mgr.is_false(build_printer_f(mgr)) is False
+        assert build_printer_f(mgr) != FALSE
 
 
 class TestCanonicity:
@@ -337,15 +332,31 @@ class TestCountSolutions:
             expected = sum(1 for bits in all_bits(n) if mgr.eval(f, bits))
             assert mgr.count_solutions(f) == expected
 
+    def test_deeper_than_the_recursion_limit(self):
+        # A 3,000-variable cube is a chain 3,000 nodes deep.
+        mgr = BddManager(3000)
+        cube = mgr.make_cube(range(3000))
+        assert mgr.count_solutions(cube) == 1
+        # Its complement, the OR of the negative literals, built bottom-up:
+        # ``negate(cube)`` would itself recurse once per level.
+        complement = FALSE
+        for i in reversed(range(3000)):
+            complement = mgr.apply(Op.OR, mgr.negate(mgr.mk_var(i)), complement)
+        assert mgr.count_solutions(complement) == 2 ** 3000 - 1
+
+    def test_leaves_nothing_for_the_cycle_collector(self):
+        mgr = BddManager(8)
+        f = build(mgr, random_formula(random.Random(23), 8, 16))
+        gc.collect()
+        gc.disable()
+        try:
+            mgr.count_solutions(f)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestLimitsAndDebug:
-    def test_resource_limit(self):
-        mgr = BddManager(10, max_nodes=3)
-        with pytest.raises(ResourceLimitError):
-            f = TRUE
-            for i in range(10):
-                f = mgr.apply(Op.XOR, f, mgr.mk_var(i))
-
     def test_to_dot(self):
         mgr = BddManager(2)
         f = mgr.apply(Op.AND, mgr.mk_var(0), mgr.negate(mgr.mk_var(1)))

@@ -6,7 +6,10 @@ import shutil
 
 import pytest
 
-from citbdd.cli import main, read_suite_csv, trimmed_mean, write_suite_csv
+from citbdd import cli
+from citbdd.cli import (
+    bench_instance, main, read_suite_csv, trimmed_mean, write_suite_csv,
+)
 from citbdd.model import parse_model
 
 from conftest import MODELS_DIR, PRINTER_TEXT
@@ -107,6 +110,22 @@ def test_recursion_limit_exits_2_with_one_line(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def _out_of_memory(*args):
+    raise MemoryError()
+
+
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_bare_memory_error_names_itself(tmp_path, printer_path, capsys, monkeypatch,
+                                        command):
+    suite = tmp_path / "suite.csv"
+    suite.write_text("Paper size,Feed tray,Paper type\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "build_handler", _out_of_memory)
+    argv = {"generate": ["generate", str(printer_path), "-t", "2"],
+            "verify": ["verify", str(printer_path), str(suite), "-t", "2"]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_generate_to_a_missing_directory_exits_2(tmp_path, printer_path, capsys):
@@ -264,6 +283,12 @@ class TestBenchCommand:
         assert records[0]["status"] == "NA"
         assert records[0]["seconds"] == ""
         assert records[0]["suite_size"] == ""
+
+    def test_memory_error_yields_na(self, printer, monkeypatch):
+        monkeypatch.setattr(cli, "_run_once", _out_of_memory)
+        record = bench_instance("printer", printer, 2, "bdd-and",
+                                repeats=3, trim=1, timeout=None)
+        assert (record.status, record.seconds, record.suite_size) == ("NA", None, None)
 
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["bench", str(tmp_path / "nope"), "-t", "2"]) == 2

@@ -1,5 +1,6 @@
 """Tests for the model types, the constraint parser, and evaluation."""
 
+import gc
 from itertools import product
 
 import pytest
@@ -234,6 +235,16 @@ class TestRoundTrip:
         for expr in printer.constraints:
             text = format_constraint(expr, printer)
             assert parse_constraint(text, printer) == expr
+
+    def test_leaves_nothing_for_the_cycle_collector(self, printer):
+        gc.collect()
+        gc.disable()
+        try:
+            for expr in printer.constraints:
+                format_constraint(expr, printer)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @settings(max_examples=300, deadline=None)
     @given(_exprs(12))

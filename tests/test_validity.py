@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from citbdd.bdd import BddManager, ResourceLimitError
+from citbdd.bdd import BddManager
 from citbdd.encode import EncodingMode, compile_constraints, encode_full, make_encoding
 from citbdd.ipog import generate
 from citbdd.model import eval_constraints, parse_model
@@ -65,6 +65,18 @@ class TestOracle:
     def test_rejects_bad_values(self, printer):
         with pytest.raises(ValueError):
             OracleHandler(printer).is_valid((9, None, 0))
+
+    def test_checks_leave_nothing_for_the_cycle_collector(self, printer):
+        oracle = OracleHandler(printer)
+        assignments = list(product((None, 0, 1, 2), repeat=3))
+        gc.collect()
+        gc.disable()
+        try:
+            for assignment in assignments:
+                oracle.is_valid(assignment)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _printer_cc(printer, mode):
@@ -206,12 +218,6 @@ class TestPartialBdd:
         cc = _printer_cc(printer, EncodingMode.FULL)
         with pytest.raises(ValueError, match="WITH_DASH"):
             build_partial_bdd(cc)
-
-    def test_resource_limit_surfaces(self, printer):
-        enc = make_encoding(printer, EncodingMode.WITH_DASH)
-        with pytest.raises(ResourceLimitError):
-            cc = compile_constraints(printer, enc, BddManager(enc.total_bits, max_nodes=4))
-            build_partial_bdd(cc, QuantOrder.UP)
 
     def test_g_matches_f_on_full_cases(self, printer):
         cc1 = _printer_cc(printer, EncodingMode.FULL)
