@@ -33,10 +33,8 @@ from typing import Optional, Sequence
 
 from .bdd import FALSE, TRUE, BddManager, Op
 from .model import (
-    And, Implies, Not, Or,
-    ParamEqConst, ParamEqParam, ParamGeConst, ParamGtConst,
-    ParamLeConst, ParamLtConst, ParamNeqConst, ParamNeqParam,
-    ConstraintExpr, SutModel, referenced_params,
+    And, CompareParams, ConstraintExpr, Implies, Not, Or, SutModel,
+    referenced_params,
 )
 
 
@@ -90,7 +88,7 @@ def _occurrences(model: SutModel) -> list[tuple[int, tuple[int, ...]]]:
         elif isinstance(expr, (And, Or, Implies)):
             stack.append((expr.right, path + (1,)))
             stack.append((expr.left, path + (0,)))
-        elif isinstance(expr, (ParamEqParam, ParamNeqParam)):
+        elif isinstance(expr, CompareParams):
             occs.append((expr.left, path + (0,)))
             occs.append((expr.right, path + (1,)))
         else:
@@ -281,27 +279,20 @@ def _translate(mgr: BddManager, enc: Encoding, expr: ConstraintExpr) -> int:
     if isinstance(expr, Implies):
         return mgr.apply(Op.IMPLIES, _translate(mgr, enc, expr.left),
                          _translate(mgr, enc, expr.right))
-    if isinstance(expr, ParamEqParam):
-        return _params_eq(mgr, enc, enc.order.index(expr.left),
-                          enc.order.index(expr.right))
-    if isinstance(expr, ParamNeqParam):
-        return mgr.negate(_params_eq(mgr, enc, enc.order.index(expr.left),
-                                     enc.order.index(expr.right)))
+    if isinstance(expr, CompareParams):
+        eq = _params_eq(mgr, enc, enc.order.index(expr.left),
+                        enc.order.index(expr.right))
+        return eq if expr.op == "=" else mgr.negate(eq)
     pos = enc.order.index(expr.param)
-    if isinstance(expr, ParamEqConst):
-        return _value_eq(mgr, enc, pos, expr.value)
-    if isinstance(expr, ParamNeqConst):
-        return mgr.negate(_value_eq(mgr, enc, pos, expr.value))
-    if isinstance(expr, ParamLeConst):
-        return _value_le(mgr, enc, pos, expr.value)
-    if isinstance(expr, ParamLtConst):
-        if expr.value == 0:
-            return FALSE
-        return _value_le(mgr, enc, pos, expr.value - 1)
-    if isinstance(expr, ParamGtConst):
-        return mgr.negate(_value_le(mgr, enc, pos, expr.value))
-    if isinstance(expr, ParamGeConst):
-        if expr.value == 0:
-            return TRUE
-        return mgr.negate(_value_le(mgr, enc, pos, expr.value - 1))
-    raise TypeError(f"unknown constraint node {expr!r}")
+    op, value = expr.op, expr.value
+    if op in ("=", "!="):
+        eq = _value_eq(mgr, enc, pos, value)
+        return eq if op == "=" else mgr.negate(eq)
+    if op in ("<=", ">"):
+        le = _value_le(mgr, enc, pos, value)
+        return le if op == "<=" else mgr.negate(le)
+    # "<" and ">=" split the domain below ``value``.
+    if value == 0:
+        return FALSE if op == "<" else TRUE
+    le = _value_le(mgr, enc, pos, value - 1)
+    return le if op == "<" else mgr.negate(le)

@@ -1,12 +1,13 @@
 """Covering-array generation with the IPOG algorithm, plus a verifier.
 
-``generate`` seeds a suite with every valid value combination of the ``t``
-largest-domain parameters, then brings in the remaining parameters one at a
-time: horizontal growth extends each existing row with the value that
-covers the most still-uncovered combinations, and vertical growth merges
-each leftover combination into a compatible row or appends it as a new
-partial row.  Every candidate row is validity-checked through the supplied
-handler's ``is_valid``, so rows never violate the model constraints.
+``generate`` brings the parameters in one at a time, largest domain
+first, starting from an empty suite: horizontal growth extends each
+existing row with the value that covers the most still-uncovered
+combinations, and vertical growth merges each leftover combination into a
+compatible row or appends it as a new partial row.  So placing the t-th
+parameter appends one row per valid combination of the first t.  Every
+candidate row is validity-checked through the supplied handler's
+``is_valid``, so rows never violate the model constraints.
 
 Uncovered combinations are kept as one set of integer keys per value of
 the new parameter.  A key stands for t-1 placed parameters and their
@@ -127,13 +128,11 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
         return TestSuite(model, t, [],
                          diagnostic="model has no valid test cases")
 
+    # The first t - 1 parameters have no t-way combination to cover, so
+    # they are placed into no rows.  Placing the t-th appends one row per
+    # valid combination of the first t, through vertical growth.
     rows: list[list[Optional[int]]] = []
-    first = order[:t]
-    for values in product(*(range(sizes[p]) for p in first)):
-        row = _row(n, first, values)
-        if valid(row):
-            rows.append(row)
-    masks = {p: _value_masks(rows, p, sizes[p]) for p in first}
+    masks = {p: _value_masks(rows, p, sizes[p]) for p in order[:t - 1]}
 
     # Key of a combination of t-1 placed parameters: their positions in
     # placement order folded with radix n, then their values with radix
@@ -147,7 +146,7 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
                for s in range(t - 1)]
 
     buf: list[Optional[int]] = [None] * n
-    for idx in range(t, n):
+    for idx in range(t - 1, n):
         p_new = order[idx]
         placed = order[:idx]
         dn = sizes[p_new]

@@ -21,13 +21,18 @@ ordering comparators compare 0-based value indices.  Names and labels that
 are not plain identifiers must be double quoted.
 
 Internally every parameter value is its 0-based index into the declared
-domain.  An assignment is a tuple with one entry per parameter, where
-``None`` marks an unspecified ("dash") position; an assignment with no
-``None`` entries is a full test case.
+domain.  A relation is one of two nodes, with its comparator ``op`` kept
+as written: ``Compare(param, op, value)`` for a parameter against a value
+index, and ``CompareParams(left, op, right)`` for two parameters.
+
+An assignment is a tuple with one entry per parameter, where ``None``
+marks an unspecified ("dash") position; an assignment with no ``None``
+entries is a full test case.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -88,88 +93,40 @@ class Implies:
         return (not self.left.evaluate(values)) or self.right.evaluate(values)
 
 
+# Each comparator as written in the source, and the function deciding it
+# over 0-based value indices.
+_COMPARE = {
+    "=": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+}
+# The comparators allowed between two parameters.
+_PARAM_COMPARE = ("=", "!=")
+
+
 @dataclass(frozen=True)
-class ParamEqConst:
+class Compare:
+    """``param op value``: a parameter against one of its value indices."""
     param: int
+    op: str
     value: int
 
     def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        return values[self.param] == self.value
+        return _COMPARE[self.op](values[self.param], self.value)
 
 
 @dataclass(frozen=True)
-class ParamNeqConst:
-    param: int
-    value: int
-
-    def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        return values[self.param] != self.value
-
-
-@dataclass(frozen=True)
-class ParamLtConst:
-    param: int
-    value: int
-
-    def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        return values[self.param] < self.value
-
-
-@dataclass(frozen=True)
-class ParamLeConst:
-    param: int
-    value: int
-
-    def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        return values[self.param] <= self.value
-
-
-@dataclass(frozen=True)
-class ParamGtConst:
-    param: int
-    value: int
-
-    def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        return values[self.param] > self.value
-
-
-@dataclass(frozen=True)
-class ParamGeConst:
-    param: int
-    value: int
-
-    def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        return values[self.param] >= self.value
-
-
-@dataclass(frozen=True)
-class ParamEqParam:
+class CompareParams:
+    """``left op right``: two parameters' value indices, ``op`` ``=`` or ``!=``."""
     left: int
+    op: str
     right: int
 
     def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        return values[self.left] == values[self.right]
+        return _COMPARE[self.op](values[self.left], values[self.right])
 
 
-@dataclass(frozen=True)
-class ParamNeqParam:
-    left: int
-    right: int
-
-    def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        return values[self.left] != values[self.right]
-
-
-ConstraintExpr = Union[
-    Not, And, Or, Implies,
-    ParamEqConst, ParamNeqConst,
-    ParamLtConst, ParamLeConst, ParamGtConst, ParamGeConst,
-    ParamEqParam, ParamNeqParam,
-]
-
-_CONST_RELATIONS = (ParamEqConst, ParamNeqConst, ParamLtConst, ParamLeConst,
-                    ParamGtConst, ParamGeConst)
-_PARAM_RELATIONS = (ParamEqParam, ParamNeqParam)
+ConstraintExpr = Union[Not, And, Or, Implies, Compare, CompareParams]
 
 
 def referenced_params(expr: ConstraintExpr) -> Iterator[int]:
@@ -179,7 +136,7 @@ def referenced_params(expr: ConstraintExpr) -> Iterator[int]:
     elif isinstance(expr, (And, Or, Implies)):
         yield from referenced_params(expr.left)
         yield from referenced_params(expr.right)
-    elif isinstance(expr, _CONST_RELATIONS):
+    elif isinstance(expr, Compare):
         yield expr.param
     else:
         yield expr.left
@@ -228,18 +185,27 @@ class SutModel:
         elif isinstance(expr, (And, Or, Implies)):
             self._check_expr(expr.left)
             self._check_expr(expr.right)
-        elif isinstance(expr, _CONST_RELATIONS):
-            if not 0 <= expr.param < len(self.params):
-                raise ModelError(f"constraint references parameter #{expr.param}, "
-                                 f"model has {len(self.params)}")
-            if not 0 <= expr.value < len(self.params[expr.param].domain):
-                raise ModelError(f"constraint references value {expr.value} outside the "
+        elif isinstance(expr, Compare):
+            self._check_param(expr.param)
+            if not isinstance(expr.op, str) or expr.op not in _COMPARE:
+                raise ModelError(f"unknown comparator {expr.op!r}")
+            if (type(expr.value) is not int
+                    or not 0 <= expr.value < len(self.params[expr.param].domain)):
+                raise ModelError(f"constraint references value {expr.value!r} outside the "
                                  f"domain of {self.params[expr.param].name!r}")
+        elif isinstance(expr, CompareParams):
+            self._check_param(expr.left)
+            self._check_param(expr.right)
+            if expr.op not in _PARAM_COMPARE:
+                raise ModelError(f"comparator {expr.op!r} is not allowed "
+                                 "between two parameters")
         else:
-            for p in (expr.left, expr.right):
-                if not 0 <= p < len(self.params):
-                    raise ModelError(f"constraint references parameter #{p}, "
-                                     f"model has {len(self.params)}")
+            raise ModelError(f"constraint {expr!r} is not a constraint node")
+
+    def _check_param(self, p: int) -> None:
+        if type(p) is not int or not 0 <= p < len(self.params):
+            raise ModelError(f"constraint references parameter #{p!r}, "
+                             f"model has {len(self.params)}")
 
     @property
     def n(self) -> int:
@@ -287,14 +253,6 @@ def _quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-_REL_SYMBOL = {
-    ParamEqConst: "=", ParamNeqConst: "!=",
-    ParamLtConst: "<", ParamLeConst: "<=",
-    ParamGtConst: ">", ParamGeConst: ">=",
-    ParamEqParam: "=", ParamNeqParam: "!=",
-}
-
-
 def format_constraint(expr: ConstraintExpr, model: SutModel) -> str:
     """Render ``expr`` so that re-parsing it yields a structurally equal tree."""
     return _format(expr, _PREC_IMPLIES, model)
@@ -317,13 +275,13 @@ def _format(e: ConstraintExpr, min_prec: int, model: SutModel) -> str:
         text = (_format(e.left, _PREC_IMPLIES + 1, model) + " => "
                 + _format(e.right, _PREC_IMPLIES, model))
         prec = _PREC_IMPLIES
-    elif isinstance(e, _PARAM_RELATIONS):
-        text = (_quote(model.params[e.left].name) + " " + _REL_SYMBOL[type(e)]
+    elif isinstance(e, CompareParams):
+        text = (_quote(model.params[e.left].name) + " " + e.op
                 + " " + _quote(model.params[e.right].name))
         prec = _PREC_ATOM
     else:
         param = model.params[e.param]
-        text = (_quote(param.name) + " " + _REL_SYMBOL[type(e)]
+        text = (_quote(param.name) + " " + e.op
                 + " " + _quote(param.domain[e.value]))
         prec = _PREC_ATOM
     if prec < min_prec:
@@ -370,9 +328,6 @@ def _tokenize(text: str, line: int) -> list[_Token]:
         pos = m.end()
     tokens.append(_Token("end", "", line, len(text) + 1))
     return tokens
-
-
-_COMPARATORS = {"=", "!=", "<", "<=", ">", ">="}
 
 
 class _ExprParser:
@@ -441,7 +396,7 @@ class _ExprParser:
         if param is None:
             raise ModelError(f"unknown parameter {left.text!r}", left.line, left.col)
         op = self._peek()
-        if op.kind != "op" or op.text not in _COMPARATORS:
+        if op.kind != "op" or op.text not in _COMPARE:
             raise ModelError(f"expected a comparison operator, got {op.text!r}",
                              op.line, op.col)
         self._next()
@@ -460,33 +415,22 @@ class _ExprParser:
         # A label of the left-hand parameter wins over a parameter name,
         # which wins over a bare 0-based index.
         if right.text in domain:
-            return self._const_relation(param, domain.index(right.text), op)
+            return Compare(param, op.text, domain.index(right.text))
         other = self.by_name.get(right.text)
         if other is not None:
-            if op.text == "=":
-                return ParamEqParam(param, other)
-            if op.text == "!=":
-                return ParamNeqParam(param, other)
-            raise ModelError(f"ordering comparison {op.text!r} is not allowed "
-                             "between two parameters", op.line, op.col)
+            if op.text not in _PARAM_COMPARE:
+                raise ModelError(f"ordering comparison {op.text!r} is not allowed "
+                                 "between two parameters", op.line, op.col)
+            return CompareParams(param, op.text, other)
         if right.kind == "number":
             value = int(right.text)
             if not 0 <= value < len(domain):
                 raise ModelError(f"value index {value} out of range for "
                                  f"{self.params[param].name!r} "
                                  f"(domain size {len(domain)})", right.line, right.col)
-            return self._const_relation(param, value, op)
+            return Compare(param, op.text, value)
         raise ModelError(f"unknown value {right.text!r} for parameter "
                          f"{self.params[param].name!r}", right.line, right.col)
-
-    @staticmethod
-    def _const_relation(param: int, value: int, op: _Token) -> ConstraintExpr:
-        cls = {
-            "=": ParamEqConst, "!=": ParamNeqConst,
-            "<": ParamLtConst, "<=": ParamLeConst,
-            ">": ParamGtConst, ">=": ParamGeConst,
-        }[op.text]
-        return cls(param, value)
 
 
 def parse_constraint(text: str, model: SutModel, line: int = 1) -> ConstraintExpr:

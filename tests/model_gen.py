@@ -9,23 +9,20 @@ parameter-to-parameter relations from time to time.
 import random
 
 from citbdd.model import (
-    And, Implies, Not, Or,
-    ParamEqConst, ParamEqParam, ParamGeConst, ParamGtConst,
-    ParamLeConst, ParamLtConst, ParamNeqConst, ParamNeqParam,
-    Parameter, SutModel,
+    And, Compare, CompareParams, Implies, Not, Or, Parameter, SutModel,
 )
 
-_CONST_KINDS = (ParamEqConst, ParamNeqConst, ParamLtConst, ParamLeConst,
-                ParamGtConst, ParamGeConst)
+_CONST_OPS = ("=", "!=", "<", "<=", ">", ">=")
+_PARAM_OPS = ("=", "!=")
 
 
 def _random_relation(rng: random.Random, pool, sizes):
     if len(pool) >= 2 and rng.random() < 0.2:
         a, b = rng.sample(pool, 2)
-        return rng.choice((ParamEqParam, ParamNeqParam))(a, b)
+        return CompareParams(a, rng.choice(_PARAM_OPS), b)
     p = rng.choice(pool)
-    kind = rng.choice(_CONST_KINDS)
-    return kind(p, rng.randrange(sizes[p]))
+    op = rng.choice(_CONST_OPS)
+    return Compare(p, op, rng.randrange(sizes[p]))
 
 
 def _random_tree(rng: random.Random, pool, sizes, depth):

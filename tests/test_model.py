@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citbdd.model import (
-    And, Implies, Not, Or,
-    ParamEqConst, ParamEqParam, ParamGeConst, ParamGtConst,
-    ParamLeConst, ParamLtConst, ParamNeqConst, ParamNeqParam,
+    And, Compare, CompareParams, Implies, Not, Or,
     ModelError, Parameter, SutModel,
     eval_constraints, format_constraint, parse_constraint, parse_model,
 )
@@ -21,8 +19,8 @@ class TestParseModel:
         assert [p.name for p in printer.params] == ["Paper size", "Feed tray", "Paper type"]
         assert printer.sizes == (3, 3, 3)
         assert len(printer.constraints) == 2
-        assert printer.constraints[0] == Implies(ParamEqConst(0, 0), ParamEqConst(1, 0))
-        assert printer.constraints[1] == Implies(ParamEqConst(1, 0), Not(ParamEqConst(2, 0)))
+        assert printer.constraints[0] == Implies(Compare(0, "=", 0), Compare(1, "=", 0))
+        assert printer.constraints[1] == Implies(Compare(1, "=", 0), Not(Compare(2, "=", 0)))
 
     def test_no_constraints(self, printer_free):
         assert printer_free.constraints == ()
@@ -36,7 +34,7 @@ class TestParseModel:
             [CONSTRAINTS]
             Size = B4 => Tray = Bypass
         """)
-        assert m.constraints == (Implies(ParamEqConst(0, 0), ParamEqConst(1, 0)),)
+        assert m.constraints == (Implies(Compare(0, "=", 0), Compare(1, "=", 0)),)
 
     def test_comments_and_blanks(self):
         m = parse_model("""
@@ -53,21 +51,21 @@ class TestParseModel:
 
     def test_value_by_index(self):
         m = parse_model("[PARAMETERS]\na: x, y, z\n[CONSTRAINTS]\na = 2\n")
-        assert m.constraints == (ParamEqConst(0, 2),)
+        assert m.constraints == (Compare(0, "=", 2),)
 
     def test_label_wins_over_index(self):
         # the literal label "2" names index 0, beating the index reading
         m = parse_model("[PARAMETERS]\na: 2, 1, 0\n[CONSTRAINTS]\na = 2\n")
-        assert m.constraints == (ParamEqConst(0, 0),)
+        assert m.constraints == (Compare(0, "=", 0),)
 
     def test_quoted_names_and_labels(self):
         m = parse_model('[PARAMETERS]\nmy param: has space, plain\n'
                         '[CONSTRAINTS]\n"my param" != "has space"\n')
-        assert m.constraints == (ParamNeqConst(0, 0),)
+        assert m.constraints == (Compare(0, "!=", 0),)
 
     def test_param_to_param(self):
         m = parse_model("[PARAMETERS]\na: x, y\nb: x, y, z\n[CONSTRAINTS]\na = b\na != b\n")
-        assert m.constraints == (ParamEqParam(0, 1), ParamNeqParam(0, 1))
+        assert m.constraints == (CompareParams(0, "=", 1), CompareParams(0, "!=", 1))
 
 
 class TestParseErrors:
@@ -125,6 +123,37 @@ class TestParseErrors:
             Parameter("x", ("a", ""))
 
 
+class TestMalformedNodes:
+    """``SutModel`` checks constraint trees built in code, not parsed."""
+
+    _PARAMS = (Parameter("a", ("x", "y")), Parameter("b", ("x", "y", "z")))
+
+    def test_non_node_rejected(self):
+        for bad in ("a = x", None, Not("a = x"), And(Compare(0, "=", 0), None)):
+            with pytest.raises(ModelError, match="not a constraint node"):
+                SutModel(self._PARAMS, (bad,))
+
+    def test_non_int_index_rejected(self):
+        with pytest.raises(ModelError, match="value 1.0 outside"):
+            SutModel(self._PARAMS, (Compare(0, "=", 1.0),))
+        with pytest.raises(ModelError, match="value True outside"):
+            SutModel(self._PARAMS, (Compare(0, "=", True),))
+        with pytest.raises(ModelError, match="parameter #0.0"):
+            SutModel(self._PARAMS, (Compare(0.0, "=", 1),))
+        with pytest.raises(ModelError, match="parameter #'b'"):
+            SutModel(self._PARAMS, (CompareParams(0, "=", "b"),))
+
+    def test_unknown_comparator_rejected(self):
+        for op in ("==", "~", None, ["="]):
+            with pytest.raises(ModelError, match="unknown comparator"):
+                SutModel(self._PARAMS, (Compare(0, op, 1),))
+
+    def test_ordering_between_parameters_rejected(self):
+        for op in ("<", "<=", ">", ">=", "=="):
+            with pytest.raises(ModelError, match="not allowed between two parameters"):
+                SutModel(self._PARAMS, (CompareParams(0, op, 1),))
+
+
 class TestPrecedence:
     def _parse(self, text):
         m = parse_model("[PARAMETERS]\na: 0, 1\nb: 0, 1\nc: 0, 1\nd: 0, 1\n")
@@ -132,29 +161,29 @@ class TestPrecedence:
 
     def test_not_binds_tightest(self):
         _, e = self._parse("!a = 0 && b = 0")
-        assert e == And(Not(ParamEqConst(0, 0)), ParamEqConst(1, 0))
+        assert e == And(Not(Compare(0, "=", 0)), Compare(1, "=", 0))
 
     def test_and_over_or(self):
         _, e = self._parse("a = 0 || b = 0 && c = 0")
-        assert e == Or(ParamEqConst(0, 0), And(ParamEqConst(1, 0), ParamEqConst(2, 0)))
+        assert e == Or(Compare(0, "=", 0), And(Compare(1, "=", 0), Compare(2, "=", 0)))
 
     def test_or_over_implies(self):
         _, e = self._parse("a = 0 || b = 0 => c = 0")
-        assert e == Implies(Or(ParamEqConst(0, 0), ParamEqConst(1, 0)), ParamEqConst(2, 0))
+        assert e == Implies(Or(Compare(0, "=", 0), Compare(1, "=", 0)), Compare(2, "=", 0))
 
     def test_implies_right_associative(self):
         _, e = self._parse("a = 0 => b = 0 => c = 0")
-        assert e == Implies(ParamEqConst(0, 0),
-                            Implies(ParamEqConst(1, 0), ParamEqConst(2, 0)))
+        assert e == Implies(Compare(0, "=", 0),
+                            Implies(Compare(1, "=", 0), Compare(2, "=", 0)))
 
     def test_parentheses(self):
         _, e = self._parse("(a = 0 => b = 0) => c = 0")
-        assert e == Implies(Implies(ParamEqConst(0, 0), ParamEqConst(1, 0)),
-                            ParamEqConst(2, 0))
+        assert e == Implies(Implies(Compare(0, "=", 0), Compare(1, "=", 0)),
+                            Compare(2, "=", 0))
 
     def test_left_assoc_chains(self):
         _, e = self._parse("a = 0 && b = 0 && c = 0")
-        assert e == And(And(ParamEqConst(0, 0), ParamEqConst(1, 0)), ParamEqConst(2, 0))
+        assert e == And(And(Compare(0, "=", 0), Compare(1, "=", 0)), Compare(2, "=", 0))
 
 
 class TestEvalConstraints:
@@ -209,14 +238,14 @@ _RT_MODEL = SutModel(
 
 def _exprs(depth):
     relations = st.one_of(
-        st.builds(ParamEqConst, st.just(0), st.integers(0, 2)),
-        st.builds(ParamNeqConst, st.just(1), st.integers(0, 1)),
-        st.builds(ParamLtConst, st.just(2), st.integers(0, 3)),
-        st.builds(ParamLeConst, st.just(2), st.integers(0, 3)),
-        st.builds(ParamGtConst, st.just(0), st.integers(0, 2)),
-        st.builds(ParamGeConst, st.just(1), st.integers(0, 1)),
-        st.builds(ParamEqParam, st.just(0), st.just(2)),
-        st.builds(ParamNeqParam, st.just(1), st.just(0)),
+        st.builds(Compare, st.just(0), st.just("="), st.integers(0, 2)),
+        st.builds(Compare, st.just(1), st.just("!="), st.integers(0, 1)),
+        st.builds(Compare, st.just(2), st.just("<"), st.integers(0, 3)),
+        st.builds(Compare, st.just(2), st.just("<="), st.integers(0, 3)),
+        st.builds(Compare, st.just(0), st.just(">"), st.integers(0, 2)),
+        st.builds(Compare, st.just(1), st.just(">="), st.integers(0, 1)),
+        st.builds(CompareParams, st.just(0), st.just("="), st.just(2)),
+        st.builds(CompareParams, st.just(1), st.just("!="), st.just(0)),
     )
     return st.recursive(
         relations,
