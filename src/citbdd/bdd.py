@@ -12,6 +12,10 @@ handle to a different manager raises ``BddError`` when it is out of range;
 an in-range handle from another manager cannot be detected and the result
 is undefined.  A manager is not thread safe; distinct managers are fully
 independent.
+
+Nodes are never freed one at a time.  ``compact`` frees, between
+operations, every node made since a given handle that given roots do not
+reach; handles below that one are untouched, and the roots get new ones.
 """
 
 from __future__ import annotations
@@ -192,18 +196,31 @@ class BddManager:
         return self._negate(a)
 
     def _negate(self, a: int) -> int:
-        if a == FALSE:
-            return TRUE
-        if a == TRUE:
-            return FALSE
-        key = ("not", a)
-        res = self._cache.get(key)
-        if res is not None:
-            return res
-        res = self._mk(self._level[a], self._negate(self._low[a]),
-                       self._negate(self._high[a]))
-        self._cache[key] = res
-        return res
+        if a <= TRUE:
+            return TRUE - a
+        cache, levels, low, high = self._cache, self._level, self._low, self._high
+        # Post-order over an explicit stack: a node is negated once both of
+        # its children are, the low child first, so the nodes and the
+        # ("not", a) entries come in the order a recursion would make them,
+        # and no recursion depth grows with ``var_count``.
+        stack = [a]
+        while stack:
+            node = stack[-1]
+            if ("not", node) in cache:
+                stack.pop()
+                continue
+            lo, hi = low[node], high[node]
+            not_lo = TRUE - lo if lo <= TRUE else cache.get(("not", lo))
+            if not_lo is None:
+                stack.append(lo)
+                continue
+            not_hi = TRUE - hi if hi <= TRUE else cache.get(("not", hi))
+            if not_hi is None:
+                stack.append(hi)
+                continue
+            stack.pop()
+            cache[("not", node)] = self._mk(levels[node], not_lo, not_hi)
+        return cache[("not", a)]
 
     def exists(self, cube: int, f: int) -> int:
         """Existentially quantify the variables of ``cube`` out of ``f``.
@@ -327,6 +344,46 @@ class BddManager:
         while node > TRUE:
             node = self._high[node] if bits[self._level[node]] else self._low[node]
         return node == TRUE
+
+    # -- reclaiming nodes ---------------------------------------------------
+
+    def compact(self, base: int, roots: Sequence[int]) -> list[int]:
+        """Free every node with a handle of ``base`` or above that no root
+        reaches, and return the roots' new handles.
+
+        The survivors are renumbered densely from ``base`` in their old
+        order, so a child still has a lower handle than its parent.  Every
+        handle below ``base`` stays valid and unchanged; handles of
+        ``base`` or above that are not roots must not be used afterwards.
+        The computed table is cleared, since its entries may name freed
+        nodes.  A mark from the roots and a sweep, done between operations,
+        after Brace, Rudell and Bryant (DAC 1990).
+        """
+        if not isinstance(base, int) or not 2 <= base <= len(self._level):
+            raise BddError(f"base handle {base!r} out of range")
+        for root in roots:
+            self._check(root)
+        levels, low, high = self._level, self._low, self._high
+        live: set[int] = set()
+        stack = [root for root in roots if root >= base]
+        while stack:
+            node = stack.pop()
+            if node in live:
+                continue
+            live.add(node)
+            for child in (low[node], high[node]):
+                if child >= base and child not in live:
+                    stack.append(child)
+        kept = sorted(live)
+        remap = dict(zip(kept, range(base, base + len(kept))))
+        # A child below ``base`` is not in ``remap`` and keeps its handle.
+        levels[base:] = [levels[node] for node in kept]
+        low[base:] = [remap.get(low[node], low[node]) for node in kept]
+        high[base:] = [remap.get(high[node], high[node]) for node in kept]
+        self._unique = dict(zip(zip(levels[2:], low[2:], high[2:]),
+                                range(2, len(levels))))
+        self._cache = {}
+        return [remap.get(root, root) for root in roots]
 
     # -- inspection ---------------------------------------------------------
 

@@ -150,15 +150,21 @@ def referenced_params(expr: ConstraintExpr) -> Iterator[int]:
 @dataclass(frozen=True)
 class Parameter:
     """A named parameter and its value labels.  It owns the per-parameter
-    rules: a non-empty name, a non-empty domain, no empty and no repeated
-    label."""
+    rules: a non-empty name, a non-empty tuple of labels, no empty and no
+    repeated label."""
 
     name: str
     domain: tuple[str, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ModelError(f"parameter name {self.name!r} is not a string")
         if not self.name:
             raise ModelError("parameter name cannot be empty")
+        if (not isinstance(self.domain, tuple)
+                or not all(isinstance(v, str) for v in self.domain)):
+            raise ModelError(f"parameter {self.name!r} needs a tuple of string "
+                             f"labels, got {self.domain!r}")
         if len(self.domain) < 1:
             raise ModelError(f"parameter {self.name!r} has an empty domain")
         if any(not v for v in self.domain):
@@ -173,6 +179,12 @@ class SutModel:
     constraints: tuple[ConstraintExpr, ...]
 
     def __post_init__(self):
+        if (not isinstance(self.params, tuple)
+                or not all(isinstance(p, Parameter) for p in self.params)):
+            raise ModelError(f"params must be a tuple of Parameter, got {self.params!r}")
+        if not isinstance(self.constraints, tuple):
+            raise ModelError("constraints must be a tuple of constraint nodes, "
+                             f"got {self.constraints!r}")
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ModelError("duplicate parameter names")

@@ -12,7 +12,9 @@ Three interchangeable handlers implement the same contract:
   ``build_partial_bdd`` builds that BDD from the compiled constraints by
   one fused pass per parameter (``BddManager.extend_dash``), which adds
   the parameter's all-ones codeword wherever some value of the parameter
-  is valid.
+  is valid.  Between passes it frees the nodes earlier passes rebuilt
+  and ``g`` no longer reaches (``BddManager.compact``), so set-up leaves
+  ``f``, ``g`` and at most a bounded amount of garbage in the store.
 
 The check is ``handler.is_valid``, and each handler has one route through
 it.  The oracle validates the assignment with ``check_assignment`` and
@@ -62,6 +64,10 @@ HANDLER_AND = "bdd-and"
 HANDLER_PARTIAL_UP = "bdd-partial-up"
 HANDLER_PARTIAL_DOWN = "bdd-partial-down"
 HANDLER_KINDS = (HANDLER_AND, HANDLER_PARTIAL_UP, HANDLER_PARTIAL_DOWN, HANDLER_ORACLE)
+
+# Garbage ``build_partial_bdd`` lets through between two collections on top
+# of twice the survivors: the builds of small models never collect.
+COLLECT_FLOOR = 16384
 
 
 class ValidityHandler(ABC):
@@ -234,6 +240,13 @@ def build_partial_bdd(cc: CompiledConstraints,
     the passes run from the root-most parameter down or from the
     terminal-most parameter up; both orders produce the same canonical
     function, but the cost of the passes can differ.
+
+    A pass leaves the nodes it rebuilt behind as garbage.  The build
+    therefore frees its own: once the nodes made since the last collection
+    outnumber twice the survivors plus ``COLLECT_FLOOR``, it keeps only
+    what ``g`` reaches among the nodes it made (``BddManager.compact``).
+    Nodes made before the build, ``cc.f`` among them, keep their handles,
+    and a build that makes few nodes never collects.
     """
     if cc.encoding.mode is not EncodingMode.WITH_DASH:
         raise ValueError("the partial-test-case BDD needs the WITH_DASH encoding")
@@ -242,9 +255,16 @@ def build_partial_bdd(cc: CompiledConstraints,
     positions = range(len(enc.order))
     if quant_order is QuantOrder.UP:
         positions = reversed(positions)
+    start = mgr.node_count  # nodes made before the passes
+    kept = start  # nodes left by the last collection
     g = cc.f
     for pos in positions:
         g = mgr.extend_dash(enc.offsets[pos], enc.widths[pos], g)
+        if mgr.node_count - kept > 2 * (kept - start) + COLLECT_FLOOR:
+            # Handles 0 and 1 are the terminals, so the passes' first node
+            # is ``start + 2``; ``cc.f`` lies below it and needs no root.
+            g = mgr.compact(start + 2, (g,))[0]
+            kept = mgr.node_count
     return PartialValidityBdd(manager=mgr, g=g, encoding=enc,
                               quant_order=quant_order, model=cc.model)
 

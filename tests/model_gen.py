@@ -56,3 +56,11 @@ def all_assignments(model):
     from itertools import product
     choices = [(None, *range(s)) for s in model.sizes]
     return product(*choices)
+
+
+def chain_model(n: int) -> SutModel:
+    """An implication chain of ``n`` three-valued parameters: each equals
+    its successor unless it takes the first value."""
+    params = tuple(Parameter(f"c{i}", ("v0", "v1", "v2")) for i in range(n))
+    return SutModel(params, tuple(Or(CompareParams(k, "=", k + 1), Compare(k, "=", 0))
+                                  for k in range(n - 1)))

@@ -121,6 +121,42 @@ class TestNegate:
         for bits in all_bits(6):
             assert mgr.eval(g, bits) == (not mgr.eval(f, bits))
 
+    def test_makes_the_nodes_a_recursion_makes(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            formula = random_formula(rng, 8, 16)
+            ours, ref = BddManager(8), BddManager(8)
+            f = build(ours, formula)
+            assert build(ref, formula) == f
+            assert ours.negate(f) == negate_reference(ref, f)
+            assert list(ours.nodes()) == list(ref.nodes())
+            assert ours._cache == ref._cache
+
+    def test_deeper_than_the_recursion_limit(self):
+        # A 3,000-variable cube is a chain 3,000 nodes deep.
+        mgr = BddManager(3000)
+        cube = mgr.make_cube(range(3000))
+        complement = mgr.negate(cube)
+        assert mgr.count_solutions(complement) == 2 ** 3000 - 1
+        # The OR of the negative literals, built bottom-up.
+        rebuilt = FALSE
+        for i in reversed(range(3000)):
+            rebuilt = mgr.apply(Op.OR, mgr.negate(mgr.mk_var(i)), rebuilt)
+        assert rebuilt == complement
+        assert mgr.negate(complement) == cube
+
+
+def negate_reference(mgr, a):
+    """The complement of ``a`` by the recursion the engine once used."""
+    if a <= TRUE:
+        return TRUE - a
+    res = mgr._cache.get(("not", a))
+    if res is None:
+        res = mgr._mk(mgr._level[a], negate_reference(mgr, mgr._low[a]),
+                      negate_reference(mgr, mgr._high[a]))
+        mgr._cache[("not", a)] = res
+    return res
+
 
 class TestExists:
     def test_single_variable(self):
@@ -337,12 +373,7 @@ class TestCountSolutions:
         mgr = BddManager(3000)
         cube = mgr.make_cube(range(3000))
         assert mgr.count_solutions(cube) == 1
-        # Its complement, the OR of the negative literals, built bottom-up:
-        # ``negate(cube)`` would itself recurse once per level.
-        complement = FALSE
-        for i in reversed(range(3000)):
-            complement = mgr.apply(Op.OR, mgr.negate(mgr.mk_var(i)), complement)
-        assert mgr.count_solutions(complement) == 2 ** 3000 - 1
+        assert mgr.count_solutions(mgr.negate(cube)) == 2 ** 3000 - 1
 
     def test_leaves_nothing_for_the_cycle_collector(self):
         mgr = BddManager(8)
@@ -354,6 +385,80 @@ class TestCountSolutions:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestCompact:
+    """``compact`` frees the nodes made since ``base`` that no root reaches."""
+
+    def _store(self, seed):
+        """A manager with three functions made before ``base`` and twelve
+        after it; the roots are three of the twelve, the rest garbage.
+        Returns the manager, ``base``, and the handles and formulas of the
+        older functions and of the roots."""
+        rng = random.Random(seed)
+        mgr = BddManager(8)
+        older = [random_formula(rng, 8, 12) for _ in range(3)]
+        kept = [build(mgr, formula) for formula in older]
+        base = mgr.node_count + 2
+        formulas = [random_formula(rng, 8, 16) for _ in range(12)]
+        made = [build(mgr, formula) for formula in formulas]
+        picks = [0, 5, 11]
+        return (mgr, base, kept, older,
+                [made[i] for i in picks], [formulas[i] for i in picks])
+
+    def test_keeps_everything_below_base(self):
+        for seed in range(20):
+            mgr, base, kept, _, roots, _ = self._store(seed)
+            prefix = [node for node in mgr.nodes() if node[0] < base]
+            mgr.compact(base, roots + kept)
+            assert [node for node in mgr.nodes() if node[0] < base] == prefix
+            assert mgr.compact(base, kept) == kept
+
+    def test_survivors_are_the_roots_functions(self):
+        for seed in range(20):
+            mgr, base, _, _, roots, formulas = self._store(seed)
+            before = mgr.node_count
+            new_roots = mgr.compact(base, roots)
+            assert mgr.node_count < before
+            # What is left above ``base`` is what the roots reach, numbered
+            # densely with every child below its parent.
+            assert all(low < ref and high < ref for ref, _, low, high in mgr.nodes())
+            reached = set().union(*(mgr.function_nodes(r) for r in new_roots))
+            assert ({ref for ref, *_ in mgr.nodes() if ref >= base}
+                    == {ref for ref in reached if ref >= base})
+            assert scan_reduction_violations(mgr) == []
+            for formula, root in zip(formulas, new_roots):
+                for bits in all_bits(8):
+                    assert mgr.eval(root, bits) == direct_eval(formula, bits)
+
+    def test_unique_table_holds_the_survivors(self):
+        # Building a kept function again returns its handle: the unique
+        # table finds the kept nodes instead of making copies of them.
+        for seed in range(10):
+            mgr, base, kept, older, roots, formulas = self._store(seed)
+            new_roots = mgr.compact(base, roots)
+            assert mgr._cache == {}
+            assert [build(mgr, formula) for formula in older] == kept
+            assert [build(mgr, formula) for formula in formulas] == new_roots
+            assert scan_reduction_violations(mgr) == []
+
+    def test_terminal_roots_and_an_empty_sweep(self):
+        mgr = BddManager(3)
+        f = mgr.apply(Op.AND, mgr.mk_var(0), mgr.mk_var(2))
+        base = mgr.node_count + 2
+        mgr.apply(Op.OR, mgr.mk_var(1), f)
+        assert mgr.compact(base, [TRUE, FALSE, f]) == [TRUE, FALSE, f]
+        assert mgr.node_count == base - 2
+        assert mgr.compact(mgr.node_count + 2, []) == []
+
+    def test_bad_base_or_root(self):
+        mgr = BddManager(2)
+        x = mgr.mk_var(0)
+        for base in (1, mgr.node_count + 3, "2"):
+            with pytest.raises(BddError, match="base handle"):
+                mgr.compact(base, [x])
+        with pytest.raises(BddError, match="unknown node handle"):
+            mgr.compact(2, [99])
 
 
 class TestLimitsAndDebug:

@@ -154,6 +154,36 @@ class TestMalformedNodes:
                 SutModel(self._PARAMS, (CompareParams(0, op, 1),))
 
 
+class TestMalformedParams:
+    """``SutModel`` and ``Parameter`` check parameters built in code."""
+
+    _PARAMS = (Parameter("a", ("x", "y")),)
+
+    def test_non_parameter_rejected(self):
+        with pytest.raises(ModelError, match="params must be a tuple of Parameter"):
+            SutModel(("a",), ())
+
+    def test_params_list_rejected(self):
+        with pytest.raises(ModelError, match="params must be a tuple of Parameter"):
+            SutModel(list(self._PARAMS), ())
+
+    def test_constraints_none_rejected(self):
+        with pytest.raises(ModelError, match="constraints must be a tuple"):
+            SutModel(self._PARAMS, None)
+
+    def test_list_domain_rejected(self):
+        with pytest.raises(ModelError, match="needs a tuple of string labels"):
+            Parameter("a", ["x", "y"])
+
+    def test_non_string_label_rejected(self):
+        with pytest.raises(ModelError, match="needs a tuple of string labels"):
+            Parameter("a", ("x", 1))
+
+    def test_non_string_name_rejected(self):
+        with pytest.raises(ModelError, match="is not a string"):
+            Parameter(1, ("x", "y"))
+
+
 class TestPrecedence:
     def _parse(self, text):
         m = parse_model("[PARAMETERS]\na: 0, 1\nb: 0, 1\nc: 0, 1\nd: 0, 1\n")

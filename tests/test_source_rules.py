@@ -42,3 +42,36 @@ def test_no_self_calling_closures():
     found = {path.name: self_calling_closures(ast.parse(path.read_text(encoding="utf-8")))
              for path in SOURCES}
     assert {name: sites for name, sites in found.items() if sites} == {}
+
+
+def environment_reads(tree):
+    """(name, line) of every read of the process environment: ``os.environ``,
+    ``os.getenv`` and their bytes forms, by attribute or by import.  The
+    package takes its settings from arguments only, so none may be a knob
+    an environment variable turns."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((f"os.{node.attr}", node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(f"os.{alias.name}", node.lineno)
+                      for alias in node.names if alias.name in names]
+    return sorted(found, key=lambda site: site[1])
+
+
+# The rule's own check: each form of reading the environment is found.
+ENVIRONMENT = ("import os\n"
+               "from os import environ, path\n"
+               "a = os.environ['A']\n"
+               "b = os.getenv('B', '1')\n"
+               "c = os.path.join('x')\n")
+
+
+def test_no_environment_reads():
+    assert environment_reads(ast.parse(ENVIRONMENT)) == [
+        ("os.environ", 2), ("os.environ", 3), ("os.getenv", 4)]
+    found = {path.name: environment_reads(ast.parse(path.read_text(encoding="utf-8")))
+             for path in SOURCES}
+    assert {name: sites for name, sites in found.items() if sites} == {}

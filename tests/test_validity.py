@@ -8,17 +8,17 @@ from itertools import product
 
 import pytest
 
-from citbdd.bdd import BddManager
+from citbdd.bdd import FALSE, TRUE, BddManager
 from citbdd.encode import EncodingMode, compile_constraints, encode_full, make_encoding
 from citbdd.ipog import generate
 from citbdd.model import eval_constraints, parse_model
 from citbdd.validity import (
-    HANDLER_KINDS, ConjunctionHandler, OracleHandler, QuantOrder,
+    COLLECT_FLOOR, HANDLER_KINDS, ConjunctionHandler, OracleHandler, QuantOrder,
     TraversalHandler, build_handler, build_partial_bdd,
 )
 
 from conftest import MODELS_DIR, load_model
-from model_gen import all_assignments, random_model
+from model_gen import all_assignments, chain_model, random_model
 from test_bdd import extend_dash_reference
 
 
@@ -205,6 +205,41 @@ class TestPartialBdd:
                     g = step
                 assert build_partial_bdd(cc, quant).g == g, (path.stem, quant)
 
+    def test_small_builds_do_not_collect(self):
+        # synth20's passes make a few hundred nodes: the store after the
+        # build is the store the bare passes leave.
+        m = load_model("synth20")
+        enc = make_encoding(m, EncodingMode.WITH_DASH)
+        for quant in QuantOrder:
+            cc = compile_constraints(m, enc, BddManager(enc.total_bits))
+            build_partial_bdd(cc, quant)
+            bare = compile_constraints(m, enc, BddManager(enc.total_bits))
+            passes(bare, quant)
+            assert list(cc.manager.nodes()) == list(bare.manager.nodes())
+
+    def test_chain_build_frees_its_garbage(self):
+        m = chain_model(120)
+        enc = make_encoding(m, EncodingMode.WITH_DASH)
+        cc = compile_constraints(m, enc, BddManager(enc.total_bits))
+        mgr = cc.manager
+        base = mgr.node_count + 2
+        before = list(mgr.nodes())
+        up = build_partial_bdd(cc, QuantOrder.UP)
+        # Everything the build made and ``g`` no longer reaches is less
+        # than one collection's slack.
+        made = mgr.node_count + 2 - base
+        live = sum(1 for node in mgr.function_nodes(up.g) if node >= base)
+        assert made - live < COLLECT_FLOOR
+        down = build_partial_bdd(cc, QuantOrder.DOWN)
+        assert down.g == up.g
+        assert list(mgr.nodes())[:base - 2] == before
+        # The bare passes in a fresh manager make many more nodes, and the
+        # same function.
+        bare = compile_constraints(m, enc, BddManager(enc.total_bits))
+        g = passes(bare, QuantOrder.UP)
+        assert bare.manager.node_count - (base - 2) > made + COLLECT_FLOOR
+        assert canonical(bare.manager, g) == canonical(mgr, up.g)
+
     def test_vacuous_constraint_keeps_domain_and_dash(self):
         # One retained parameter under a tautological constraint: g accepts
         # each in-domain codeword plus the all-ones dash codeword.
@@ -226,6 +261,42 @@ class TestPartialBdd:
         for t in product(range(3), repeat=3):
             via_f = cc1.manager.eval(cc1.f, encode_full(cc1.encoding, t))
             assert handler.is_valid(t) == via_f
+
+
+def passes(cc, quant):
+    """``g`` built by bare ``extend_dash`` passes, with no collection."""
+    enc = cc.encoding
+    positions = range(len(enc.order))
+    if quant is QuantOrder.UP:
+        positions = reversed(positions)
+    g = cc.f
+    for pos in positions:
+        g = cc.manager.extend_dash(enc.offsets[pos], enc.widths[pos], g)
+    return g
+
+
+def canonical(mgr, f):
+    """The nodes ``f`` reaches as (level, low, high), numbered in
+    depth-first post-order: equal exactly for equal functions, whatever
+    handles each manager gave them."""
+    order = {FALSE: FALSE, TRUE: TRUE}
+    nodes = []
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        if node in order:
+            stack.pop()
+            continue
+        low, high = mgr._low[node], mgr._high[node]
+        if low not in order:
+            stack.append(low)
+        elif high not in order:
+            stack.append(high)
+        else:
+            stack.pop()
+            order[node] = len(order)
+            nodes.append((mgr._level[node], order[low], order[high]))
+    return nodes
 
 
 # ``b`` has three values in two bits, and ``g`` tests none of them when
