@@ -209,7 +209,7 @@ def bench_instance(name: str, model: SutModel, t: int, handler_kind: str,
     for _ in range(repeats):
         try:
             elapsed, size = _run_once(model, t, handler_kind, timeout)
-        except (GenerationTimeout, MemoryError):
+        except (GenerationTimeout, MemoryError, RecursionError):
             return BenchmarkRecord(name, handler_kind, t, "NA", None, None)
         times.append(elapsed)
     return BenchmarkRecord(name, handler_kind, t, "OK", trimmed_mean(times, trim), size)

@@ -33,8 +33,7 @@ from typing import Optional, Sequence
 
 from .bdd import FALSE, TRUE, BddManager, Op
 from .model import (
-    And, CompareParams, ConstraintExpr, Implies, Not, Or, SutModel,
-    referenced_params,
+    CompareParams, Connective, ConstraintExpr, Not, SutModel, referenced_params,
 )
 
 
@@ -85,7 +84,7 @@ def _occurrences(model: SutModel) -> list[tuple[int, tuple[int, ...]]]:
         expr, path = stack.pop()
         if isinstance(expr, Not):
             stack.append((expr.child, path + (0,)))
-        elif isinstance(expr, (And, Or, Implies)):
+        elif isinstance(expr, Connective):
             stack.append((expr.right, path + (1,)))
             stack.append((expr.left, path + (0,)))
         elif isinstance(expr, CompareParams):
@@ -267,17 +266,16 @@ def _params_eq(mgr: BddManager, enc: Encoding, pos_a: int, pos_b: int) -> int:
     return res
 
 
+# The BDD operator of each connective.
+_CONNECTIVE_OPS = {"&&": Op.AND, "||": Op.OR, "=>": Op.IMPLIES}
+
+
 def _translate(mgr: BddManager, enc: Encoding, expr: ConstraintExpr) -> int:
     if isinstance(expr, Not):
         return mgr.negate(_translate(mgr, enc, expr.child))
-    if isinstance(expr, And):
-        return mgr.apply(Op.AND, _translate(mgr, enc, expr.left),
-                         _translate(mgr, enc, expr.right))
-    if isinstance(expr, Or):
-        return mgr.apply(Op.OR, _translate(mgr, enc, expr.left),
-                         _translate(mgr, enc, expr.right))
-    if isinstance(expr, Implies):
-        return mgr.apply(Op.IMPLIES, _translate(mgr, enc, expr.left),
+    if isinstance(expr, Connective):
+        # Left operand first: the order of the apply calls fixes the store.
+        return mgr.apply(_CONNECTIVE_OPS[expr.op], _translate(mgr, enc, expr.left),
                          _translate(mgr, enc, expr.right))
     if isinstance(expr, CompareParams):
         eq = _params_eq(mgr, enc, enc.order.index(expr.left),

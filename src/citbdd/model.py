@@ -21,9 +21,11 @@ ordering comparators compare 0-based value indices.  Names and labels that
 are not plain identifiers must be double quoted.
 
 Internally every parameter value is its 0-based index into the declared
-domain.  A relation is one of two nodes, with its comparator ``op`` kept
-as written: ``Compare(param, op, value)`` for a parameter against a value
-index, and ``CompareParams(left, op, right)`` for two parameters.
+domain.  A constraint tree has four kinds of node, each operator kept as
+written: ``Not(child)``; ``Connective(left, op, right)`` for ``&&``, ``||``
+and ``=>``; and two relations, ``Compare(param, op, value)`` for a
+parameter against a value index and ``CompareParams(left, op, right)`` for
+two parameters.
 
 An assignment is a tuple with one entry per parameter, where ``None``
 marks an unspecified ("dash") position; an assignment with no ``None``
@@ -66,31 +68,27 @@ class Not:
         return not self.child.evaluate(values)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "ConstraintExpr"
-    right: "ConstraintExpr"
-
-    def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        return self.left.evaluate(values) and self.right.evaluate(values)
+# Each connective as written in the source: its binding strength (higher
+# binds tighter) and whether it associates to the right.
+_CONNECTIVES = {"=>": (0, True), "||": (1, False), "&&": (2, False)}
+# ``!`` and then the relations bind tighter than every connective.
+_PREC_NOT, _PREC_ATOM = 3, 4
 
 
 @dataclass(frozen=True)
-class Or:
+class Connective:
+    """``left op right`` with ``op`` one of ``&&``, ``||``, ``=>``."""
     left: "ConstraintExpr"
+    op: str
     right: "ConstraintExpr"
 
     def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        return self.left.evaluate(values) or self.right.evaluate(values)
-
-
-@dataclass(frozen=True)
-class Implies:
-    left: "ConstraintExpr"
-    right: "ConstraintExpr"
-
-    def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        return (not self.left.evaluate(values)) or self.right.evaluate(values)
+        left = self.left.evaluate(values)
+        if self.op == "&&":
+            return left and self.right.evaluate(values)
+        if self.op == "||":
+            return left or self.right.evaluate(values)
+        return not left or self.right.evaluate(values)
 
 
 # Each comparator as written in the source, and the function deciding it
@@ -126,14 +124,14 @@ class CompareParams:
         return _COMPARE[self.op](values[self.left], values[self.right])
 
 
-ConstraintExpr = Union[Not, And, Or, Implies, Compare, CompareParams]
+ConstraintExpr = Union[Not, Connective, Compare, CompareParams]
 
 
 def referenced_params(expr: ConstraintExpr) -> Iterator[int]:
     """Yield the parameter indices occurring in ``expr`` (with repeats)."""
     if isinstance(expr, Not):
         yield from referenced_params(expr.child)
-    elif isinstance(expr, (And, Or, Implies)):
+    elif isinstance(expr, Connective):
         yield from referenced_params(expr.left)
         yield from referenced_params(expr.right)
     elif isinstance(expr, Compare):
@@ -194,7 +192,9 @@ class SutModel:
     def _check_expr(self, expr: ConstraintExpr) -> None:
         if isinstance(expr, Not):
             self._check_expr(expr.child)
-        elif isinstance(expr, (And, Or, Implies)):
+        elif isinstance(expr, Connective):
+            if not isinstance(expr.op, str) or expr.op not in _CONNECTIVES:
+                raise ModelError(f"unknown connective {expr.op!r}")
             self._check_expr(expr.left)
             self._check_expr(expr.right)
         elif isinstance(expr, Compare):
@@ -255,9 +255,6 @@ def check_assignment(model: SutModel, t: Sequence[Optional[int]]) -> None:
 
 _BARE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# Binding strength; higher binds tighter.  Relations count as atoms.
-_PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = range(5)
-
 
 def _quote(name: str) -> str:
     if _BARE_RE.fullmatch(name):
@@ -267,7 +264,7 @@ def _quote(name: str) -> str:
 
 def format_constraint(expr: ConstraintExpr, model: SutModel) -> str:
     """Render ``expr`` so that re-parsing it yields a structurally equal tree."""
-    return _format(expr, _PREC_IMPLIES, model)
+    return _format(expr, 0, model)
 
 
 def _format(e: ConstraintExpr, min_prec: int, model: SutModel) -> str:
@@ -275,18 +272,12 @@ def _format(e: ConstraintExpr, min_prec: int, model: SutModel) -> str:
     if isinstance(e, Not):
         text = "!" + _format(e.child, _PREC_NOT, model)
         prec = _PREC_NOT
-    elif isinstance(e, And):
-        text = (_format(e.left, _PREC_AND, model) + " && "
-                + _format(e.right, _PREC_AND + 1, model))
-        prec = _PREC_AND
-    elif isinstance(e, Or):
-        text = (_format(e.left, _PREC_OR, model) + " || "
-                + _format(e.right, _PREC_OR + 1, model))
-        prec = _PREC_OR
-    elif isinstance(e, Implies):
-        text = (_format(e.left, _PREC_IMPLIES + 1, model) + " => "
-                + _format(e.right, _PREC_IMPLIES, model))
-        prec = _PREC_IMPLIES
+    elif isinstance(e, Connective):
+        # The operand on the side ``op`` associates to may bind as loosely
+        # as ``op``; the other one needs parentheses if it does.
+        prec, right_assoc = _CONNECTIVES[e.op]
+        text = (_format(e.left, prec + right_assoc, model) + " " + e.op + " "
+                + _format(e.right, prec + (not right_assoc), model))
     elif isinstance(e, CompareParams):
         text = (_quote(model.params[e.left].name) + " " + e.op
                 + " " + _quote(model.params[e.right].name))
@@ -352,7 +343,7 @@ class _ExprParser:
         self.by_name = {p.name: i for i, p in enumerate(model_params)}
 
     def parse(self) -> ConstraintExpr:
-        expr = self._implies()
+        expr = self._binary(0)
         tok = self._peek()
         if tok.kind != "end":
             raise ModelError(f"unexpected {tok.text!r} after expression", tok.line, tok.col)
@@ -373,29 +364,26 @@ class _ExprParser:
             return True
         return False
 
-    def _implies(self) -> ConstraintExpr:
-        left = self._or()
-        if self._accept_op("=>"):
-            return Implies(left, self._implies())
-        return left
-
-    def _or(self) -> ConstraintExpr:
-        expr = self._and()
-        while self._accept_op("||"):
-            expr = Or(expr, self._and())
-        return expr
-
-    def _and(self) -> ConstraintExpr:
+    def _binary(self, min_prec: int) -> ConstraintExpr:
+        """Precedence climbing: operands joined by connectives binding at
+        ``min_prec`` or tighter."""
         expr = self._unary()
-        while self._accept_op("&&"):
-            expr = And(expr, self._unary())
-        return expr
+        while True:
+            tok = self._peek()
+            if tok.kind != "op" or tok.text not in _CONNECTIVES:
+                return expr
+            prec, right_assoc = _CONNECTIVES[tok.text]
+            if prec < min_prec:
+                return expr
+            self.pos += 1
+            expr = Connective(expr, tok.text,
+                              self._binary(prec + (not right_assoc)))
 
     def _unary(self) -> ConstraintExpr:
         if self._accept_op("!"):
             return Not(self._unary())
         if self._accept_op("("):
-            expr = self._implies()
+            expr = self._binary(0)
             tok = self._peek()
             if not self._accept_op(")"):
                 raise ModelError("expected ')'", tok.line, tok.col)

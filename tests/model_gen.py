@@ -9,7 +9,7 @@ parameter-to-parameter relations from time to time.
 import random
 
 from citbdd.model import (
-    And, Compare, CompareParams, Implies, Not, Or, Parameter, SutModel,
+    Compare, CompareParams, Connective, Not, Parameter, SutModel,
 )
 
 _CONST_OPS = ("=", "!=", "<", "<=", ">", ">=")
@@ -31,9 +31,11 @@ def _random_tree(rng: random.Random, pool, sizes, depth):
     shape = rng.random()
     if shape < 0.2:
         return Not(_random_tree(rng, pool, sizes, depth - 1))
-    op = rng.choice((And, Or, Implies))
-    return op(_random_tree(rng, pool, sizes, depth - 1),
-              _random_tree(rng, pool, sizes, depth - 1))
+    # The connective is drawn before its operands, left operand first:
+    # the golden hashes of the random models depend on this order of draws.
+    op = rng.choice(("&&", "||", "=>"))
+    left = _random_tree(rng, pool, sizes, depth - 1)
+    return Connective(left, op, _random_tree(rng, pool, sizes, depth - 1))
 
 
 def random_model(rng: random.Random, max_params: int = 6, max_domain: int = 4,
@@ -62,5 +64,6 @@ def chain_model(n: int) -> SutModel:
     """An implication chain of ``n`` three-valued parameters: each equals
     its successor unless it takes the first value."""
     params = tuple(Parameter(f"c{i}", ("v0", "v1", "v2")) for i in range(n))
-    return SutModel(params, tuple(Or(CompareParams(k, "=", k + 1), Compare(k, "=", 0))
-                                  for k in range(n - 1)))
+    return SutModel(params, tuple(
+        Connective(CompareParams(k, "=", k + 1), "||", Compare(k, "=", 0))
+        for k in range(n - 1)))

@@ -290,6 +290,30 @@ class TestBenchCommand:
                                 repeats=3, trim=1, timeout=None)
         assert (record.status, record.seconds, record.suite_size) == ("NA", None, None)
 
+    def test_recursion_error_yields_na_and_the_sweep_goes_on(self, tmp_path,
+                                                               printer_path, capsys,
+                                                               monkeypatch):
+        run_once = cli._run_once
+
+        def too_deep_for_chain4(model, *args):
+            if model.n == 4:
+                raise RecursionError("maximum recursion depth exceeded")
+            return run_once(model, *args)
+
+        monkeypatch.setattr(cli, "_run_once", too_deep_for_chain4)
+        model_dir = tmp_path / "suite"
+        model_dir.mkdir()
+        shutil.copy(MODELS_DIR / "chain4.model", model_dir / "chain4.model")
+        shutil.copy(printer_path, model_dir / "printer.model")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", str(model_dir), "-t", "1", "--handler", "bdd-and",
+                     "--repeats", "1", "--trim", "0", "-o", str(out)]) == 0
+        with open(out, newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert [(r["instance"], r["status"]) for r in records] == [
+            ("chain4", "NA"), ("printer", "OK")]
+        assert out.with_suffix(".cactus.csv").exists()
+
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["bench", str(tmp_path / "nope"), "-t", "2"]) == 2
         assert "not a directory" in capsys.readouterr().err

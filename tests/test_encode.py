@@ -12,7 +12,7 @@ from citbdd.encode import (
     compile_constraints, constrained_params, encode_full, make_encoding,
     order_parameters,
 )
-from citbdd.model import And, Implies, Not, Or, eval_constraints, parse_model
+from citbdd.model import Connective, Not, eval_constraints, parse_model
 
 from model_gen import random_model
 from test_bdd import build_printer_f, printer_formula
@@ -71,7 +71,7 @@ def _bfs_distances(model):
         connect(parent, node)
         if isinstance(expr, Not):
             walk(expr.child, node)
-        elif isinstance(expr, (And, Or, Implies)):
+        elif isinstance(expr, Connective):
             walk(expr.left, node)
             walk(expr.right, node)
         elif hasattr(expr, "param"):
