@@ -75,12 +75,7 @@ class BddManager:
 
     def make_cube(self, variables: Iterable[int]) -> int:
         """Conjunction of positive literals over the given variable indices."""
-        node = TRUE
-        for i in sorted(set(variables), reverse=True):
-            if not 0 <= i < self.var_count:
-                raise BddError(f"variable index {i} out of range")
-            node = self._mk(i, FALSE, node)
-        return node
+        return self.make_assignment_cube((i, 1) for i in set(variables))
 
     def make_assignment_cube(self, literals: Iterable[tuple[int, int]]) -> int:
         """Conjunction of literals given as (variable, bit) pairs."""
@@ -107,13 +102,23 @@ class BddManager:
         self._check(b)
         if not isinstance(op, Op):
             raise BddError(f"unknown operator {op!r}")
-        return self._apply(op, a, b)
+        return self._apply(op.value, a, b)
 
-    def _apply(self, op: Op, a: int, b: int) -> int:
-        if op is Op.AND:
-            return self._and(a, b)
-        if op is Op.OR:
-            tag = "or"
+    def _apply(self, op: str, a: int, b: int) -> int:
+        """``a <op> b`` for ``op`` an ``Op`` value string, the one recursion
+        of every binary operator (Bryant, IEEE TC 1986): the terminal cases,
+        then one ``(op, a, b)`` computed-table entry, with the operands in
+        ascending order for the commutative operators, and the low child
+        expanded before the high one."""
+        if op == "and":
+            if a > b:
+                a, b = b, a
+            # With a <= b, a FALSE operand is a, and a TRUE one is a unless both are.
+            if a == FALSE:
+                return FALSE
+            if a == TRUE or a == b:
+                return b
+        elif op == "or":
             if a == TRUE or b == TRUE:
                 return TRUE
             if a == FALSE:
@@ -124,8 +129,7 @@ class BddManager:
                 return a
             if a > b:
                 a, b = b, a
-        elif op is Op.XOR:
-            tag = "xor"
+        elif op == "xor":
             if a == b:
                 return FALSE
             if a == FALSE:
@@ -138,8 +142,7 @@ class BddManager:
                 return self._negate(a)
             if a > b:
                 a, b = b, a
-        else:  # Op.IMPLIES
-            tag = "implies"
+        else:  # "implies"
             if a == FALSE or b == TRUE:
                 return TRUE
             if a == TRUE:
@@ -151,42 +154,20 @@ class BddManager:
         # Keys of str and int only: the garbage collector untracks them, so
         # full collections do not walk the cache, and hashing them runs
         # no Python code (an Op member would be hashed by Enum.__hash__).
-        key = (tag, a, b)
-        res = self._cache.get(key)
-        if res is not None:
-            return res
-        la, lb = self._level[a], self._level[b]
-        level = la if la < lb else lb
-        a0, a1 = (self._low[a], self._high[a]) if la == level else (a, a)
-        b0, b1 = (self._low[b], self._high[b]) if lb == level else (b, b)
-        res = self._mk(level, self._apply(op, a0, b0), self._apply(op, a1, b1))
-        self._cache[key] = res
-        return res
-
-    def _and(self, a: int, b: int) -> int:
-        """``a ∧ b``, the one AND path (``_apply`` hands ``Op.AND`` here):
-        a recursion with no operator dispatch that keeps the terminal cases,
-        the ``("and", a, b)`` cache key with ``a < b`` and the low-then-high
-        order, so it makes the nodes and cache entries ``_apply`` would."""
-        if a > b:
-            a, b = b, a
-        # With a <= b, a FALSE operand is a, and a TRUE one is a unless both are.
-        if a == FALSE:
-            return FALSE
-        if a == TRUE or a == b:
-            return b
-        key = ("and", a, b)
+        key = (op, a, b)
         res = self._cache.get(key)
         if res is not None:
             return res
         la, lb = self._level[a], self._level[b]
         if la == lb:
-            res = self._mk(la, self._and(self._low[a], self._low[b]),
-                           self._and(self._high[a], self._high[b]))
+            res = self._mk(la, self._apply(op, self._low[a], self._low[b]),
+                           self._apply(op, self._high[a], self._high[b]))
         elif la < lb:
-            res = self._mk(la, self._and(self._low[a], b), self._and(self._high[a], b))
+            res = self._mk(la, self._apply(op, self._low[a], b),
+                           self._apply(op, self._high[a], b))
         else:
-            res = self._mk(lb, self._and(a, self._low[b]), self._and(a, self._high[b]))
+            res = self._mk(lb, self._apply(op, a, self._low[b]),
+                           self._apply(op, a, self._high[b]))
         self._cache[key] = res
         return res
 
@@ -254,7 +235,7 @@ class BddManager:
         lo = self._exists(cube, self._low[f])
         hi = self._exists(cube, self._high[f])
         if self._level[cube] == flevel:
-            res = self._apply(Op.OR, lo, hi)
+            res = self._apply("or", lo, hi)
         else:
             res = self._mk(flevel, lo, hi)
         self._cache[key] = res
@@ -361,20 +342,12 @@ class BddManager:
         """
         if not isinstance(base, int) or not 2 <= base <= len(self._level):
             raise BddError(f"base handle {base!r} out of range")
-        for root in roots:
-            self._check(root)
+        # A child has a lower handle than its parent, so no node below
+        # ``base`` leads to one above it, and the whole mark (which checks
+        # each root) ends before the sweep changes anything.
+        kept = sorted({node for root in roots for node in self.function_nodes(root)
+                       if node >= base})
         levels, low, high = self._level, self._low, self._high
-        live: set[int] = set()
-        stack = [root for root in roots if root >= base]
-        while stack:
-            node = stack.pop()
-            if node in live:
-                continue
-            live.add(node)
-            for child in (low[node], high[node]):
-                if child >= base and child not in live:
-                    stack.append(child)
-        kept = sorted(live)
         remap = dict(zip(kept, range(base, base + len(kept))))
         # A child below ``base`` is not in ``remap`` and keeps its handle.
         levels[base:] = [levels[node] for node in kept]

@@ -249,8 +249,8 @@ def cmd_bench(model_dir: str, t: int, handler_kinds: Sequence[str],
                     "" if rec.suite_size is None else rec.suite_size,
                 ])
                 out.flush()
-                shown = "NA" if rec.seconds is None else f"{rec.seconds:.4f}s"
-                print(f"{rec.instance},{rec.handler}: {rec.status} {shown}",
+                shown = "" if rec.seconds is None else f" {rec.seconds:.4f}s"
+                print(f"{rec.instance},{rec.handler}: {rec.status}{shown}",
                       file=sys.stderr)
 
     if out_csv:

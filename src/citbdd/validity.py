@@ -23,11 +23,12 @@ then decides it.  The conjunction handler keeps a cube table, the
 parameter: a check range checks each fixed value while it picks that
 value's literals, range checks the dropped parameters, and only then
 builds the cube bottom-up and conjoins it with ``f`` through
-``BddManager._and``, the manager's one AND recursion, so it makes the
-same nodes and computed-table entries as ``apply``.  Most checks repeat a
-cube seen before and end at the computed-table entry for ``cube ∧ f``,
-the cross-operation memo of Brace, Rudell and Bryant (DAC 1990), so the
-check's own overhead around the AND is most of its cost.  The traversal
+``BddManager._apply`` with the AND tag ``Op.AND.value``, the manager's one
+binary-operator recursion, so it makes the same nodes and computed-table
+entries as ``apply``.  Most checks repeat a cube seen before and end at
+the computed-table entry for ``cube ∧ f``, the cross-operation memo of
+Brace, Rudell and Bryant (DAC 1990), so the check's own overhead around
+the AND is most of its cost.  The traversal
 handler reads ``g`` as a multi-valued diagram: its constructor builds a
 jump table per constrained parameter, from each node the walk can stand
 on when it reaches the parameter's block of bits to the node each value's
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .bdd import FALSE, TRUE, BddManager
+from .bdd import FALSE, TRUE, BddManager, Op
 from .encode import (
     CompiledConstraints, Encoding, EncodingMode,
     compile_constraints, make_encoding,
@@ -164,7 +165,8 @@ class ConjunctionHandler(ValidityHandler):
     first: ``(p, size, codes)``, where ``codes[v]`` holds value ``v``'s
     ``(variable, bit)`` literals, lowest variable first.  A check picks the
     fixed values' literals in one pass, range checking each value, builds
-    the cube bottom-up and conjoins it with ``f`` by ``BddManager._and``.
+    the cube bottom-up and conjoins it with ``f`` by ``BddManager._apply``
+    under the AND tag.
     """
 
     name = HANDLER_AND
@@ -178,6 +180,7 @@ class ConjunctionHandler(ValidityHandler):
         sizes = cc.model.sizes
         self._n = len(sizes)
         self._dropped_sizes = tuple((p, sizes[p]) for p in sorted(enc.dropped))
+        self._and_tag = Op.AND.value
         self._cubes = tuple(
             (p, size, tuple(tuple((first + j, (v >> j) & 1) for j in range(width))
                             for v in range(size)))
@@ -206,7 +209,7 @@ class ConjunctionHandler(ValidityHandler):
         for code in picked:
             for var, bit in reversed(code):
                 cube = mk(var, FALSE, cube) if bit else mk(var, cube, FALSE)
-        return mgr._and(cube, cc.f) != FALSE
+        return mgr._apply(self._and_tag, cube, cc.f) != FALSE
 
 
 # ---------------------------------------------------------------------------

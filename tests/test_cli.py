@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 import shutil
 
 import pytest
@@ -313,6 +314,9 @@ class TestBenchCommand:
         assert [(r["instance"], r["status"]) for r in records] == [
             ("chain4", "NA"), ("printer", "OK")]
         assert out.with_suffix(".cactus.csv").exists()
+        failed, passed = capsys.readouterr().err.splitlines()
+        assert failed == "chain4,bdd-and: NA"
+        assert re.fullmatch(r"printer,bdd-and: OK \d+\.\d{4}s", passed)
 
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["bench", str(tmp_path / "nope"), "-t", "2"]) == 2

@@ -75,3 +75,67 @@ def test_no_environment_reads():
     found = {path.name: environment_reads(ast.parse(path.read_text(encoding="utf-8")))
              for path in SOURCES}
     assert {name: sites for name, sites in found.items() if sites} == {}
+
+
+def unused_functions(defining, using):
+    """Names of the non-dunder functions defined in the ``defining`` trees
+    that no tree in ``using`` loads by name, as a ``Name``, an ``Attribute``
+    or an import alias, outside the function's own body: a function that
+    only calls itself is as dead as one that nothing calls."""
+    function_types = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = {node.name for tree in defining for node in ast.walk(tree)
+               if isinstance(node, function_types)
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    loaded = set()
+    for tree in using:
+        stack = [(tree, frozenset())]  # (node, names of the functions around it)
+        while stack:
+            node, inside = stack.pop()
+            name = None
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            if name is not None and name not in inside:
+                loaded.add(name)
+            if isinstance(node, function_types):
+                inside = inside | {node.name}
+            stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return sorted(defined - loaded)
+
+
+# The rule's own check: a function loaded by name, attribute or import
+# passes; one that only calls itself, or nothing loads, is found.
+DEFINES = ("def called():\n"
+           "    return 0\n"
+           "def imported():\n"
+           "    return called()\n"
+           "def countdown(n):\n"
+           "    return countdown(n - 1) if n else 0\n"
+           "class C:\n"
+           "    def __repr__(self):\n"
+           "        return 'C'\n"
+           "    def method(self):\n"
+           "        return self.method()\n"
+           "    def attribute(self):\n"
+           "        return 1\n"
+           "    def unused(self):\n"
+           "        return 2\n")
+USES = ("from module import imported\n"
+        "value = C().attribute()\n")
+
+ROOT = Path(__file__).resolve().parent.parent
+USING_DIRS = ("src", "tests", "demos", "perfbench")
+
+
+def test_no_unused_functions():
+    defines = ast.parse(DEFINES)
+    assert unused_functions([defines], [defines, ast.parse(USES)]) == [
+        "countdown", "method", "unused"]
+    using = [ast.parse(path.read_text(encoding="utf-8"))
+             for folder in USING_DIRS for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(using) > len(SOURCES)
+    defining = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    assert unused_functions(defining, using) == []

@@ -117,9 +117,11 @@ class TestConjunctionCheck:
             ConjunctionHandler(cc)
 
     def test_synth20_t3_store_is_pinned(self):
-        # The node store after a whole run, node for node, as the generic
-        # route (make_assignment_cube, then apply) left it: the check must
-        # make the same nodes in the same order and share the cache.
+        # The node store and the computed table after a whole run, entry for
+        # entry and in insertion order, as the generic route
+        # (make_assignment_cube, then apply) left them: the check must make
+        # the same nodes in the same order and the same cache keys, tag and
+        # operand order included.
         model = load_model("synth20")
         handler = build_handler(model, "bdd-and")
         generate(model, 3, handler)
@@ -127,6 +129,9 @@ class TestConjunctionCheck:
         assert mgr.node_count == 44_803
         assert hashlib.sha256(repr(list(mgr.nodes())).encode("ascii")).hexdigest() == \
             "91c71c7d0b03e0ba0bb486c54ee9550f427371457f1d5aac83794d45d0235bf8"
+        assert len(mgr._cache) == 75_057
+        assert hashlib.sha256(repr(list(mgr._cache.items())).encode("ascii")).hexdigest() == \
+            "3c038756b1ef350a4d2669bbb62030684d3452d29c602c6df3a377b477c238fd"
 
     def test_rejected_assignment_makes_no_node(self):
         # Every value is range checked before the cube's first node is made,
@@ -145,6 +150,29 @@ class TestConjunctionCheck:
                 assert mgr.node_count == before, (p, bad)
         handler.is_valid(row)
         assert mgr.node_count > before  # the same row, in range, does make nodes
+
+
+def test_setup_store_is_pinned(models_dir):
+    # Set-up on every shipped model, node for node and computed-table entry
+    # for entry: compiling under both encodings runs AND, OR, XOR
+    # (equality6's ``primary = backup``) and IMPLIES, and the up then down
+    # builds in the WITH_DASH manager run the quantifying ORs.
+    paths = sorted(models_dir.glob("*.model"))
+    assert len(paths) == 12
+    digest = hashlib.sha256()
+    for path in paths:
+        model = parse_model(path.read_text(encoding="utf-8"))
+        for mode in (EncodingMode.FULL, EncodingMode.WITH_DASH):
+            enc = make_encoding(model, mode)
+            mgr = BddManager(enc.total_bits)
+            cc = compile_constraints(model, enc, mgr)
+            if mode is EncodingMode.WITH_DASH:
+                build_partial_bdd(cc, QuantOrder.UP)
+                build_partial_bdd(cc, QuantOrder.DOWN)
+            digest.update(repr((path.stem, mode.value, list(mgr.nodes()),
+                                list(mgr._cache.items()))).encode("ascii"))
+    assert digest.hexdigest() == \
+        "03c91304eed3917b760d272e0d96930c81483a59e0392d6b47081e968a5b2ee1"
 
 
 class TestPartialBdd:
