@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from .bdd import FALSE, TRUE, BddManager, Op
 from .model import (
-    CompareParams, Connective, ConstraintExpr, Not, SutModel, referenced_params,
+    CompareParams, Connective, ConstraintExpr, Not, SutModel, occurrences,
 )
 
 
@@ -61,38 +61,7 @@ class Encoding:
 
 def constrained_params(model: SutModel) -> frozenset[int]:
     """Indices of the parameters occurring in at least one constraint."""
-    out: set[int] = set()
-    for c in model.constraints:
-        out.update(referenced_params(c))
-    return frozenset(out)
-
-
-def _occurrences(model: SutModel) -> list[tuple[int, tuple[int, ...]]]:
-    """Parameter occurrences as (param, path) over the virtual parse forest.
-
-    A path is the sequence of child indices from the virtual root joining all
-    constraint trees; relation operands count as leaves one step below their
-    relation node.
-    """
-    occs: list[tuple[int, tuple[int, ...]]] = []
-    # An explicit stack, not a recursive closure: a closure that calls
-    # itself is a reference cycle, left for the cycle collector.  Children
-    # are pushed right first, so they are visited left to right.
-    stack: list[tuple[ConstraintExpr, tuple[int, ...]]] = [
-        (c, (k,)) for k, c in reversed(list(enumerate(model.constraints)))]
-    while stack:
-        expr, path = stack.pop()
-        if isinstance(expr, Not):
-            stack.append((expr.child, path + (0,)))
-        elif isinstance(expr, Connective):
-            stack.append((expr.right, path + (1,)))
-            stack.append((expr.left, path + (0,)))
-        elif isinstance(expr, CompareParams):
-            occs.append((expr.left, path + (0,)))
-            occs.append((expr.right, path + (1,)))
-        else:
-            occs.append((expr.param, path + (0,)))
-    return occs
+    return frozenset(p for c in model.constraints for p, _ in occurrences(c))
 
 
 def _path_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -113,7 +82,9 @@ def order_parameters(model: SutModel) -> tuple[int, ...]:
     declaration index.  Parameters selected earlier receive lower variable
     indices (nearest the BDD root).
     """
-    occs = _occurrences(model)
+    # Paths start at a virtual root whose child ``k`` is constraint ``k``.
+    occs = [(p, (k, *path)) for k, c in enumerate(model.constraints)
+            for p, path in occurrences(c)]
     params = sorted({p for p, _ in occs})
     if len(params) <= 1:
         return tuple(params)

@@ -127,18 +127,24 @@ class CompareParams:
 ConstraintExpr = Union[Not, Connective, Compare, CompareParams]
 
 
-def referenced_params(expr: ConstraintExpr) -> Iterator[int]:
-    """Yield the parameter indices occurring in ``expr`` (with repeats)."""
-    if isinstance(expr, Not):
-        yield from referenced_params(expr.child)
-    elif isinstance(expr, Connective):
-        yield from referenced_params(expr.left)
-        yield from referenced_params(expr.right)
-    elif isinstance(expr, Compare):
-        yield expr.param
-    else:
-        yield expr.left
-        yield expr.right
+def occurrences(expr: ConstraintExpr) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield each parameter occurrence in ``expr``, left to right, as
+    ``(param, path)``: the child indices from ``expr`` down to it, where a
+    relation's operands are leaves one step below the relation."""
+    # An explicit stack, right child pushed first: left to right, no depth limit.
+    stack: list[tuple[ConstraintExpr, tuple[int, ...]]] = [(expr, ())]
+    while stack:
+        e, path = stack.pop()
+        if isinstance(e, Not):
+            stack.append((e.child, path + (0,)))
+        elif isinstance(e, Connective):
+            stack.append((e.right, path + (1,)))
+            stack.append((e.left, path + (0,)))
+        elif isinstance(e, Compare):
+            yield e.param, path + (0,)
+        else:
+            yield e.left, path + (0,)
+            yield e.right, path + (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +244,22 @@ def eval_constraints(model: SutModel, t: Sequence[Optional[int]]) -> bool:
 
 
 def check_assignment(model: SutModel, t: Sequence[Optional[int]]) -> None:
-    """Raise ValueError unless ``t`` is a well-formed (possibly partial) assignment."""
+    """Raise ValueError unless ``t`` is a well-formed (possibly partial)
+    assignment: each value ``None`` or an ``operator.index`` in range."""
     sizes = model.sizes
     if len(t) != len(sizes):
         raise ValueError(f"expected {len(sizes)} values, got {len(t)}")
-    for v, s in zip(t, sizes):
-        if v is not None and not 0 <= v < s:
-            param = next(p for p, w, z in zip(model.params, t, sizes)
-                         if w is not None and not 0 <= w < z)
-            raise ValueError(f"value {v} out of range for {param.name!r}")
+    index = operator.index
+    try:
+        for param, v, s in zip(model.params, t, sizes):
+            if v is not None and not 0 <= index(v) < s:
+                break
+        else:
+            return
+    except TypeError:
+        pass
+    # The loop stopped at the first bad value.
+    raise ValueError(f"value {v} out of range for {param.name!r}")
 
 
 # ---------------------------------------------------------------------------

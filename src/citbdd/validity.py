@@ -34,11 +34,13 @@ jump table per constrained parameter, from each node the walk can stand
 on when it reaches the parameter's block of bits to the node each value's
 codeword (and the all-ones codeword) leads to through the block, so a
 check is one table step per constrained parameter, with the range check
-of the value in the same step, and no bit vector.  In both BDD handlers
-an out-of-range value or a wrong length goes to ``check_assignment``, so
-every handler rejects bad input with the same message, and no node is
-made for a rejected assignment.  Per-model tables are built in the
-handler's constructor and live as long as the handler.
+of the value in the same step, and no bit vector.  A value is ``None``
+or an index into its parameter's domain, an index being what
+``operator.index`` accepts (``True`` is 1, ``1.0`` is no index).  In both
+BDD handlers a value that breaks this rule or a wrong length goes to
+``check_assignment``, so every handler rejects bad input with the same
+message, and no node is made for a rejected assignment.  Per-model tables
+are built in the handler's constructor and live as long as the handler.
 
 All handlers agree on every assignment; the traversal handler trades a more
 expensive setup (one ``extend_dash`` pass per parameter, then the jump
@@ -57,7 +59,7 @@ from .encode import (
     CompiledConstraints, Encoding, EncodingMode,
     compile_constraints, make_encoding,
 )
-from .model import SutModel, check_assignment, referenced_params
+from .model import SutModel, check_assignment, occurrences
 
 
 HANDLER_ORACLE = "oracle"
@@ -102,7 +104,7 @@ class OracleHandler(ValidityHandler):
     def __init__(self, model: SutModel):
         self.model = model
         # Parameters of each constraint, and the constraints of each parameter.
-        self._param_sets = tuple(frozenset(referenced_params(c))
+        self._param_sets = tuple(frozenset(p for p, _ in occurrences(c))
                                  for c in model.constraints)
         self._by_param: dict[int, list[int]] = {}
         for ci, ps in enumerate(self._param_sets):
@@ -179,7 +181,9 @@ class ConjunctionHandler(ValidityHandler):
         self.dropped = enc.dropped
         sizes = cc.model.sizes
         self._n = len(sizes)
-        self._dropped_sizes = tuple((p, sizes[p]) for p in sorted(enc.dropped))
+        # ``past[v]`` is False for every index of a dropped parameter's
+        # domain, and raises for one past its end or for a non-index.
+        self._dropped = tuple((p, (False,) * sizes[p]) for p in sorted(enc.dropped))
         self._and_tag = Op.AND.value
         self._cubes = tuple(
             (p, size, tuple(tuple((first + j, (v >> j) & 1) for j in range(width))
@@ -192,16 +196,21 @@ class ConjunctionHandler(ValidityHandler):
         if len(assignment) != self._n:
             check_assignment(cc.model, assignment)
         picked = []
-        for p, size, codes in self._cubes:
-            v = assignment[p]
-            if v is not None:
-                if not 0 <= v < size:
+        # A non-index raises TypeError or IndexError: check_assignment names it.
+        try:
+            for p, size, codes in self._cubes:
+                v = assignment[p]
+                if v is not None:
+                    if not 0 <= v < size:
+                        check_assignment(cc.model, assignment)
+                    picked.append(codes[v])
+            for p, past in self._dropped:
+                v = assignment[p]
+                if v is not None and (v < 0 or past[v]):
                     check_assignment(cc.model, assignment)
-                picked.append(codes[v])
-        for p, size in self._dropped_sizes:
-            v = assignment[p]
-            if v is not None and not 0 <= v < size:
-                check_assignment(cc.model, assignment)
+        except (TypeError, IndexError):
+            check_assignment(cc.model, assignment)
+            raise
         # Every value has passed, so only now is a node made.
         mgr = cc.manager
         mk = mgr._mk
@@ -293,7 +302,7 @@ class TraversalHandler(ValidityHandler):
                      else HANDLER_PARTIAL_DOWN)
         sizes = pb.model.sizes
         self._n = len(sizes)
-        self._dropped_sizes = tuple((p, sizes[p]) for p in sorted(enc.dropped))
+        self._dropped = tuple((p, (False,) * sizes[p]) for p in sorted(enc.dropped))
         mgr = pb.manager
         steps = []
         nodes = [pb.g]  # where the walk can stand at the next block
@@ -308,22 +317,26 @@ class TraversalHandler(ValidityHandler):
         if len(assignment) != self._n:
             check_assignment(self.pb.model, assignment)
         node = self.pb.g
-        # No early exit at FALSE: every value must still be range checked,
-        # and an out-of-range one (negative ones too, which a tuple index
-        # would wrap) hands over to check_assignment for its message.
-        for p, size, table in self._steps:
-            v = assignment[p]
-            vals, dash = table[node]
-            if v is None:
-                node = dash
-            elif 0 <= v < size:
-                node = vals[v]
-            else:
-                check_assignment(self.pb.model, assignment)
-        for p, size in self._dropped_sizes:
-            v = assignment[p]
-            if v is not None and not 0 <= v < size:
-                check_assignment(self.pb.model, assignment)
+        # No early exit at FALSE: every value must still be checked.  A bad
+        # one (a negative one too, which a tuple index would wrap, or one
+        # that raises as no index) goes to check_assignment for its message.
+        try:
+            for p, size, table in self._steps:
+                v = assignment[p]
+                vals, dash = table[node]
+                if v is None:
+                    node = dash
+                elif 0 <= v < size:
+                    node = vals[v]
+                else:
+                    check_assignment(self.pb.model, assignment)
+            for p, past in self._dropped:
+                v = assignment[p]
+                if v is not None and (v < 0 or past[v]):
+                    check_assignment(self.pb.model, assignment)
+        except (TypeError, IndexError):
+            check_assignment(self.pb.model, assignment)
+            raise
         return node == TRUE
 
 

@@ -1,6 +1,7 @@
 """Tests for the BDD engine: semantics, canonicity, reduction, errors."""
 
 import gc
+import hashlib
 import random
 
 import pytest
@@ -21,6 +22,11 @@ def printer_formula(v):
     c1 = (v[0] or v[1]) or (not v[2] and not v[3])
     c2 = (v[2] or v[3]) or (v[4] or v[5])
     return bound and c1 and c2
+
+
+# SHA-256 of every operator's store and computed table in
+# TestApply.test_expansion_order_is_pinned.
+EXPANSION_ORDER_SHA256 = "eca9b793d3607ae3efa9a27e81cd34b729c5617a3662342c69521558699b4913"
 
 
 def build_printer_f(mgr):
@@ -96,6 +102,23 @@ class TestApply:
                     dual = mgr.negate(mgr.apply(Op.OR, mgr.negate(a), mgr.negate(b)))
                     assert mgr.apply(Op.AND, a, b) == dual, (a, b)
             assert scan_reduction_violations(mgr) == []
+
+    def test_expansion_order_is_pinned(self):
+        # Every operator's nodes and computed-table entries come in the
+        # order the recursion makes them: the low child before the high one
+        # at equal levels too. Recorded before any change to the engine.
+        digest = hashlib.sha256()
+        for op in Op:
+            rng = random.Random(59)
+            mgr = BddManager(8)
+            fs = [build(mgr, random_formula(rng, 8, rng.randint(2, 16)))
+                  for _ in range(12)]
+            for a in fs:
+                for b in fs:
+                    mgr.apply(op, a, b)
+            digest.update(repr((op.value, list(mgr.nodes()),
+                                list(mgr._cache.items()))).encode())
+        assert digest.hexdigest() == EXPANSION_ORDER_SHA256
 
     def test_foreign_ref(self):
         mgr = BddManager(2)

@@ -44,6 +44,49 @@ def test_no_self_calling_closures():
     assert {name: sites for name, sites in found.items() if sites} == {}
 
 
+def self_calling_functions(tree):
+    """Names of the non-dunder functions whose body calls their own name,
+    as ``name(...)`` or ``<expr>.name(...)``: each is a recursion whose
+    depth the interpreter's recursion limit caps."""
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+                and any(isinstance(call, ast.Call)
+                        and (isinstance(call.func, ast.Name) and call.func.id == node.name
+                             or isinstance(call.func, ast.Attribute)
+                             and call.func.attr == node.name)
+                        for call in ast.walk(node))):
+            found.add(node.name)
+    return found
+
+
+# The rule's own check: a call of the function's own name, bare or as an
+# attribute of any expression, is found; a dunder and a call of another
+# name are not.
+SELF_CALLING_ANY = ("def countdown(n):\n"
+                    "    return countdown(n - 1) if n else 0\n"
+                    "class Node:\n"
+                    "    def size(self):\n"
+                    "        return 1 + sum(c.size() for c in self.children)\n"
+                    "    def __eq__(self, other):\n"
+                    "        return self.child.__eq__(other.child)\n"
+                    "    def walk(self):\n"
+                    "        return [n.visit() for n in self.children]\n")
+
+# The functions in the package that still recurse.  Converting one to an
+# explicit stack takes it off this list; a new recursion fails the test.
+RECURSIVE = {"_apply", "_exists", "_extend_dash", "_translate", "_format", "evaluate",
+             "_check_expr", "_binary", "_unary", "_extends"}
+
+
+def test_recursion_ratchet():
+    assert self_calling_functions(ast.parse(SELF_CALLING_ANY)) == {"countdown", "size"}
+    found = set().union(*(self_calling_functions(ast.parse(path.read_text(encoding="utf-8")))
+                          for path in SOURCES))
+    assert found == RECURSIVE
+
+
 def environment_reads(tree):
     """(name, line) of every read of the process environment: ``os.environ``,
     ``os.getenv`` and their bytes forms, by attribute or by import.  The

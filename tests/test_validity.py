@@ -143,7 +143,7 @@ class TestConjunctionCheck:
         row = [rng.randrange(size) for size in model.sizes]
         assert handler.dropped and len(handler.dropped) < model.n
         for p in range(model.n):
-            for bad in (model.sizes[p], -1):
+            for bad in (model.sizes[p], -1, 1.0):
                 before = mgr.node_count
                 with pytest.raises(ValueError, match="out of range"):
                     handler.is_valid(row[:p] + [bad] + row[p + 1:])
@@ -369,6 +369,30 @@ class TestTraversalTable:
         handler = build_handler(SKIPPED_BLOCK, kind)
         with pytest.raises(ValueError, match=message):
             handler.is_valid(assignment)
+
+    @pytest.mark.parametrize("kind", HANDLER_KINDS)
+    @pytest.mark.parametrize("value", [1.0, 1.5, "a", True, -1])
+    @pytest.mark.parametrize("position", [0, 2], ids=["constrained", "dropped"])
+    def test_one_rule_for_every_value(self, kind, value, position):
+        # A value is None or an index in range, an index being what
+        # operator.index accepts: True is 1, and 1.0 is no index, at a
+        # constrained position (``a``) and at a dropped one (``c``).
+        def outcome(handler, assignment):
+            try:
+                return handler.is_valid(assignment)
+            except ValueError as exc:
+                return str(exc)
+
+        row = [1, 0, 0]
+        row[position] = value
+        oracle = build_handler(SKIPPED_BLOCK, "oracle")
+        if value is True:
+            expected = oracle.is_valid([1 if v is True else v for v in row])
+        else:
+            name = SKIPPED_BLOCK.params[position].name
+            expected = f"value {value} out of range for {name!r}"
+        assert outcome(oracle, row) == expected
+        assert outcome(build_handler(SKIPPED_BLOCK, kind), row) == expected
 
 
 class TestHandlerAgreement:
