@@ -28,13 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, groupby
-from typing import Optional, Sequence
+from itertools import permutations
+from typing import Optional, Sequence, Union
 
 from .bdd import FALSE, TRUE, BddManager, Op
-from .model import (
-    CompareParams, Connective, ConstraintExpr, Not, SutModel, occurrences,
-)
+from .model import Compare, CompareParams, ConstraintExpr, SutModel, fold, occurrences
 
 
 class EncodingMode(Enum):
@@ -61,16 +59,7 @@ class Encoding:
 
 def constrained_params(model: SutModel) -> frozenset[int]:
     """Indices of the parameters occurring in at least one constraint."""
-    return frozenset(p for c in model.constraints for p, _ in occurrences(c))
-
-
-def _path_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    lcp = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        lcp += 1
-    return len(a) + len(b) - 2 * lcp
+    return frozenset(p for c in model.constraints for p in occurrences(c))
 
 
 def order_parameters(model: SutModel) -> tuple[int, ...]:
@@ -82,44 +71,55 @@ def order_parameters(model: SutModel) -> tuple[int, ...]:
     declaration index.  Parameters selected earlier receive lower variable
     indices (nearest the BDD root).
     """
-    # Paths start at a virtual root whose child ``k`` is constraint ``k``.
-    occs = [(p, (k, *path)) for k, c in enumerate(model.constraints)
-            for p, path in occurrences(c)]
-    params = sorted({p for p, _ in occs})
+    # The trees hang from a virtual root, and a relation's operands are
+    # leaves one step below it.  Each subtree folds to a map from its
+    # parameters to their least distance down to an occurrence, counted from
+    # the node above it: 2 for a relation's own operands.  Where two subtrees
+    # meet, at a connective or between a relation's operands, a parameter on
+    # one side and another on the other are the sum of their distances
+    # apart; the least such sum over all meeting points is the pair's
+    # nearest distance within one tree.  A ``Not`` is a join with nothing on
+    # the other side.
+    near: dict[tuple[int, int], int] = {}
+
+    def join(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
+        for p, dp in left.items():
+            for q, dq in right.items():
+                if p != q and dp + dq < near.get((p, q), dp + dq + 1):
+                    near[p, q] = near[q, p] = dp + dq
+        up = {p: d + 1 for p, d in left.items()}
+        for q, d in right.items():
+            up[q] = min(up.get(q, d + 1), d + 1)
+        return up
+
+    def relation(r: Union[Compare, CompareParams]) -> dict[int, int]:
+        return {r.param: 2} if isinstance(r, Compare) else join({r.left: 1}, {r.right: 1})
+
+    depth: dict[int, int] = {}  # each parameter's shallowest occurrence
+    for c in model.constraints:
+        tree = fold(c, relation, lambda m: join(m, {}), lambda op, a, b: join(a, b))
+        for p, d in tree.items():
+            depth[p] = min(depth.get(p, d), d)
+    params = sorted(depth)
     if len(params) <= 1:
         return tuple(params)
-    # Occurrences in different trees are len(a) + len(b) apart, through
+    # Occurrences in different trees are their depths' sum apart, through
     # the virtual root, and two in one tree are nearer than that.  So the
-    # sum of the two parameters' shallowest depths is either their nearest
-    # cross-tree distance or beaten by a same-tree pair, and only
-    # same-tree pairs need comparing one by one.
-    depth: dict[int, int] = {}
-    for p, path in occs:
-        if p not in depth or len(path) < depth[p]:
-            depth[p] = len(path)
-    dist = {(p, q): depth[p] + depth[q] for p, q in combinations(params, 2)}
-    for _, tree in groupby(occs, key=lambda occ: occ[1][0]):
-        for (p, pa), (q, qa) in combinations(list(tree), 2):
-            if p == q:
-                continue
-            key = (p, q) if p < q else (q, p)
-            gap = _path_distance(pa, qa)
-            if gap < dist[key]:
-                dist[key] = gap
-
-    def d(p: int, q: int) -> int:
-        return dist[(p, q) if p < q else (q, p)]
-
-    first = min(params, key=lambda p: (sum(d(p, q) for q in params if q != p), p))
+    # sum of two parameters' shallowest depths is either their nearest
+    # cross-tree distance or beaten by a same-tree pair.
+    dist = {(p, q): depth[p] + depth[q] for p, q in permutations(params, 2)}
+    for key, gap in near.items():
+        dist[key] = min(dist[key], gap)
+    first = min(params, key=lambda p: (sum(dist[p, q] for q in params if q != p), p))
     chosen = [first]
     # Running sum of each remaining parameter's distances to those chosen.
-    acc = {p: d(p, first) for p in params if p != first}
+    acc = {p: dist[p, first] for p in params if p != first}
     while acc:
         nxt = min(acc, key=lambda p: (acc[p], p))
         chosen.append(nxt)
         del acc[nxt]
         for p in acc:
-            acc[p] += d(p, nxt)
+            acc[p] += dist[p, nxt]
     return tuple(chosen)
 
 
@@ -130,12 +130,13 @@ def make_encoding(model: SutModel, mode: EncodingMode,
     ``order`` overrides the default distance-heuristic parameter order; it
     must be a permutation of the constrained parameters.
     """
-    constrained = constrained_params(model)
     if order is None:
         order = order_parameters(model)
     else:
         order = tuple(order)
-        if set(order) != set(constrained) or len(order) != len(constrained):
+        constrained = constrained_params(model)
+        if (any(type(p) is not int for p in order) or set(order) != constrained
+                or len(order) != len(constrained)):
             raise ValueError("order must be a permutation of the constrained parameters")
     sizes = tuple(len(model.params[p].domain) for p in order)
     if mode is EncodingMode.FULL:
@@ -148,9 +149,10 @@ def make_encoding(model: SutModel, mode: EncodingMode,
         offsets.append(total)
         total += w
     var_bits = tuple((p, j) for p, w in zip(order, widths) for j in range(w))
-    return Encoding(mode=mode, order=tuple(order), sizes=sizes, widths=widths,
+    # Either way ``order`` holds exactly the constrained parameters.
+    return Encoding(mode=mode, order=order, sizes=sizes, widths=widths,
                     offsets=tuple(offsets), total_bits=total, var_bits=var_bits,
-                    dropped=frozenset(range(model.n)) - constrained,
+                    dropped=frozenset(range(model.n)).difference(order),
                     n_params=model.n)
 
 
@@ -242,26 +244,24 @@ _CONNECTIVE_OPS = {"&&": Op.AND, "||": Op.OR, "=>": Op.IMPLIES}
 
 
 def _translate(mgr: BddManager, enc: Encoding, expr: ConstraintExpr) -> int:
-    if isinstance(expr, Not):
-        return mgr.negate(_translate(mgr, enc, expr.child))
-    if isinstance(expr, Connective):
-        # Left operand first: the order of the apply calls fixes the store.
-        return mgr.apply(_CONNECTIVE_OPS[expr.op], _translate(mgr, enc, expr.left),
-                         _translate(mgr, enc, expr.right))
-    if isinstance(expr, CompareParams):
-        eq = _params_eq(mgr, enc, enc.order.index(expr.left),
-                        enc.order.index(expr.right))
-        return eq if expr.op == "=" else mgr.negate(eq)
-    pos = enc.order.index(expr.param)
-    op, value = expr.op, expr.value
-    if op in ("=", "!="):
-        eq = _value_eq(mgr, enc, pos, value)
-        return eq if op == "=" else mgr.negate(eq)
-    if op in ("<=", ">"):
-        le = _value_le(mgr, enc, pos, value)
-        return le if op == "<=" else mgr.negate(le)
-    # "<" and ">=" split the domain below ``value``.
-    if value == 0:
-        return FALSE if op == "<" else TRUE
-    le = _value_le(mgr, enc, pos, value - 1)
-    return le if op == "<" else mgr.negate(le)
+    def relation(r: Union[Compare, CompareParams]) -> int:
+        if isinstance(r, CompareParams):
+            eq = _params_eq(mgr, enc, enc.order.index(r.left), enc.order.index(r.right))
+            return eq if r.op == "=" else mgr.negate(eq)
+        pos = enc.order.index(r.param)
+        op, value = r.op, r.value
+        if op in ("=", "!="):
+            eq = _value_eq(mgr, enc, pos, value)
+            return eq if op == "=" else mgr.negate(eq)
+        if op in ("<=", ">"):
+            le = _value_le(mgr, enc, pos, value)
+            return le if op == "<=" else mgr.negate(le)
+        # "<" and ">=" split the domain below ``value``.
+        if value == 0:
+            return FALSE if op == "<" else TRUE
+        le = _value_le(mgr, enc, pos, value - 1)
+        return le if op == "<" else mgr.negate(le)
+
+    # Left operand first, as ``fold`` goes: the order of the applies fixes the store.
+    return fold(expr, relation, mgr.negate,
+                lambda op, a, b: mgr.apply(_CONNECTIVE_OPS[op], a, b))

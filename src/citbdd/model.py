@@ -25,7 +25,8 @@ domain.  A constraint tree has four kinds of node, each operator kept as
 written: ``Not(child)``; ``Connective(left, op, right)`` for ``&&``, ``||``
 and ``=>``; and two relations, ``Compare(param, op, value)`` for a
 parameter against a value index and ``CompareParams(left, op, right)`` for
-two parameters.
+two parameters.  ``fold`` is the one walk over these trees: every pass
+over a constraint combines it bottom-up through ``fold``.
 
 An assignment is a tuple with one entry per parameter, where ``None``
 marks an unspecified ("dash") position; an assignment with no ``None``
@@ -38,7 +39,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Collection, Optional, Sequence, Union
 
 # One value index per parameter; None = unspecified.
 Assignment = tuple[Optional[int], ...]
@@ -64,13 +65,11 @@ class ModelError(ValueError):
 class Not:
     child: "ConstraintExpr"
 
-    def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        return not self.child.evaluate(values)
-
 
 # Each connective as written in the source: its binding strength (higher
-# binds tighter) and whether it associates to the right.
-_CONNECTIVES = {"=>": (0, True), "||": (1, False), "&&": (2, False)}
+# binds tighter), right associativity and truth function (``a <= b`` is ``a => b``).
+_CONNECTIVES = {"=>": (0, True, operator.le), "||": (1, False, operator.or_),
+                "&&": (2, False, operator.and_)}
 # ``!`` and then the relations bind tighter than every connective.
 _PREC_NOT, _PREC_ATOM = 3, 4
 
@@ -81,14 +80,6 @@ class Connective:
     left: "ConstraintExpr"
     op: str
     right: "ConstraintExpr"
-
-    def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        left = self.left.evaluate(values)
-        if self.op == "&&":
-            return left and self.right.evaluate(values)
-        if self.op == "||":
-            return left or self.right.evaluate(values)
-        return not left or self.right.evaluate(values)
 
 
 # Each comparator as written in the source, and the function deciding it
@@ -109,9 +100,6 @@ class Compare:
     op: str
     value: int
 
-    def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        return _COMPARE[self.op](values[self.param], self.value)
-
 
 @dataclass(frozen=True)
 class CompareParams:
@@ -120,31 +108,51 @@ class CompareParams:
     op: str
     right: int
 
-    def evaluate(self, values: Sequence[Optional[int]]) -> bool:
-        return _COMPARE[self.op](values[self.left], values[self.right])
-
 
 ConstraintExpr = Union[Not, Connective, Compare, CompareParams]
 
 
-def occurrences(expr: ConstraintExpr) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield each parameter occurrence in ``expr``, left to right, as
-    ``(param, path)``: the child indices from ``expr`` down to it, where a
-    relation's operands are leaves one step below the relation."""
-    # An explicit stack, right child pushed first: left to right, no depth limit.
-    stack: list[tuple[ConstraintExpr, tuple[int, ...]]] = [(expr, ())]
+def fold(expr: ConstraintExpr, relation: Callable, negation: Callable,
+         connective: Callable) -> Any:
+    """Combine ``expr`` bottom-up: ``relation(e)`` at each node that is
+    neither ``Not`` nor ``Connective``, ``negation(x)`` at a ``Not`` and
+    ``connective(op, left, right)`` at a ``Connective``, each given what
+    its children combined to.  The left operand is finished before the
+    right one starts, so ``relation`` meets the relations left to right."""
+    # An explicit stack, no depth limit: (e, 0) enters e, (e, k) combines its k operands.
+    stack: list[tuple[ConstraintExpr, int]] = [(expr, 0)]
+    done: list = []
     while stack:
-        e, path = stack.pop()
-        if isinstance(e, Not):
-            stack.append((e.child, path + (0,)))
+        e, operands = stack.pop()
+        if operands == 1:
+            done[-1] = negation(done[-1])
+        elif operands == 2:
+            done[-2:] = [connective(e.op, done[-2], done[-1])]
+        elif isinstance(e, Not):
+            stack += ((e, 1), (e.child, 0))
         elif isinstance(e, Connective):
-            stack.append((e.right, path + (1,)))
-            stack.append((e.left, path + (0,)))
-        elif isinstance(e, Compare):
-            yield e.param, path + (0,)
+            stack += ((e, 2), (e.right, 0), (e.left, 0))
         else:
-            yield e.left, path + (0,)
-            yield e.right, path + (1,)
+            done.append(relation(e))
+    return done[0]
+
+
+def occurrences(expr: ConstraintExpr) -> list[int]:
+    """Every parameter occurrence in ``expr``, left to right, with repeats."""
+    found: list[int] = []
+    fold(expr, lambda r: found.extend(
+        (r.param,) if isinstance(r, Compare) else (r.left, r.right)),
+        lambda x: None, lambda op, a, b: None)
+    return found
+
+
+def evaluate(expr: ConstraintExpr, values: Sequence[Optional[int]]) -> bool:
+    """Decide ``expr`` on ``values``, which fix its parameters; both operands are evaluated."""
+    def relation(r: Union[Compare, CompareParams]) -> bool:
+        if isinstance(r, Compare):
+            return _COMPARE[r.op](values[r.param], r.value)
+        return _COMPARE[r.op](values[r.left], values[r.right])
+    return fold(expr, relation, operator.not_, lambda op, a, b: _CONNECTIVES[op][2](a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -193,32 +201,23 @@ class SutModel:
         if len(set(names)) != len(names):
             raise ModelError("duplicate parameter names")
         for c in self.constraints:
-            self._check_expr(c)
+            fold(c, self._check_relation, lambda x: None,
+                 lambda op, a, b: _check_op(op, _CONNECTIVES, "unknown connective {!r}"))
 
-    def _check_expr(self, expr: ConstraintExpr) -> None:
-        if isinstance(expr, Not):
-            self._check_expr(expr.child)
-        elif isinstance(expr, Connective):
-            if not isinstance(expr.op, str) or expr.op not in _CONNECTIVES:
-                raise ModelError(f"unknown connective {expr.op!r}")
-            self._check_expr(expr.left)
-            self._check_expr(expr.right)
-        elif isinstance(expr, Compare):
-            self._check_param(expr.param)
-            if not isinstance(expr.op, str) or expr.op not in _COMPARE:
-                raise ModelError(f"unknown comparator {expr.op!r}")
-            if (type(expr.value) is not int
-                    or not 0 <= expr.value < len(self.params[expr.param].domain)):
-                raise ModelError(f"constraint references value {expr.value!r} outside the "
-                                 f"domain of {self.params[expr.param].name!r}")
-        elif isinstance(expr, CompareParams):
-            self._check_param(expr.left)
-            self._check_param(expr.right)
-            if expr.op not in _PARAM_COMPARE:
-                raise ModelError(f"comparator {expr.op!r} is not allowed "
-                                 "between two parameters")
+    def _check_relation(self, r: Union[Compare, CompareParams]) -> None:
+        if isinstance(r, Compare):
+            self._check_param(r.param)
+            _check_op(r.op, _COMPARE, "unknown comparator {!r}")
+            if type(r.value) is not int or not 0 <= r.value < self.sizes[r.param]:
+                raise ModelError(f"constraint references value {r.value!r} outside the "
+                                 f"domain of {self.params[r.param].name!r}")
+        elif isinstance(r, CompareParams):
+            self._check_param(r.left)
+            self._check_param(r.right)
+            _check_op(r.op, _PARAM_COMPARE,
+                      "comparator {!r} is not allowed between two parameters")
         else:
-            raise ModelError(f"constraint {expr!r} is not a constraint node")
+            raise ModelError(f"constraint {r!r} is not a constraint node")
 
     def _check_param(self, p: int) -> None:
         if type(p) is not int or not 0 <= p < len(self.params):
@@ -240,7 +239,13 @@ def eval_constraints(model: SutModel, t: Sequence[Optional[int]]) -> bool:
     if None in t:
         raise ValueError("test case is not full: parameter "
                          f"{model.params[list(t).index(None)].name!r} is unspecified")
-    return all(c.evaluate(t) for c in model.constraints)
+    return all(evaluate(c, t) for c in model.constraints)
+
+
+def _check_op(op: object, table: Collection[str], message: str) -> None:
+    # Not every object hashes, so a string is asked for before the lookup.
+    if not isinstance(op, str) or op not in table:
+        raise ModelError(message.format(op))
 
 
 def check_assignment(model: SutModel, t: Sequence[Optional[int]]) -> None:
@@ -277,32 +282,28 @@ def _quote(name: str) -> str:
 
 def format_constraint(expr: ConstraintExpr, model: SutModel) -> str:
     """Render ``expr`` so that re-parsing it yields a structurally equal tree."""
-    return _format(expr, 0, model)
+    def relation(r: Union[Compare, CompareParams]) -> tuple[str, int]:
+        if isinstance(r, Compare):
+            left, right = model.params[r.param].name, model.params[r.param].domain[r.value]
+        else:
+            left, right = model.params[r.left].name, model.params[r.right].name
+        return _quote(left) + " " + r.op + " " + _quote(right), _PREC_ATOM
 
-
-def _format(e: ConstraintExpr, min_prec: int, model: SutModel) -> str:
-    """``e`` rendered, in parentheses if it binds looser than ``min_prec``."""
-    if isinstance(e, Not):
-        text = "!" + _format(e.child, _PREC_NOT, model)
-        prec = _PREC_NOT
-    elif isinstance(e, Connective):
+    def connective(op: str, left: tuple[str, int], right: tuple[str, int]) -> tuple[str, int]:
         # The operand on the side ``op`` associates to may bind as loosely
         # as ``op``; the other one needs parentheses if it does.
-        prec, right_assoc = _CONNECTIVES[e.op]
-        text = (_format(e.left, prec + right_assoc, model) + " " + e.op + " "
-                + _format(e.right, prec + (not right_assoc), model))
-    elif isinstance(e, CompareParams):
-        text = (_quote(model.params[e.left].name) + " " + e.op
-                + " " + _quote(model.params[e.right].name))
-        prec = _PREC_ATOM
-    else:
-        param = model.params[e.param]
-        text = (_quote(param.name) + " " + e.op
-                + " " + _quote(param.domain[e.value]))
-        prec = _PREC_ATOM
-    if prec < min_prec:
-        return "(" + text + ")"
-    return text
+        prec, right_assoc, _ = _CONNECTIVES[op]
+        return (_operand(left, prec + right_assoc) + " " + op + " "
+                + _operand(right, prec + (not right_assoc)), prec)
+
+    return fold(expr, relation, lambda x: ("!" + _operand(x, _PREC_NOT), _PREC_NOT),
+                connective)[0]
+
+
+def _operand(formatted: tuple[str, int], min_prec: int) -> str:
+    """The text of a ``(text, prec)`` pair, in parentheses if looser than ``min_prec``."""
+    text, prec = formatted
+    return "(" + text + ")" if prec < min_prec else text
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,7 @@ class _ExprParser:
             tok = self._peek()
             if tok.kind != "op" or tok.text not in _CONNECTIVES:
                 return expr
-            prec, right_assoc = _CONNECTIVES[tok.text]
+            prec, right_assoc, _ = _CONNECTIVES[tok.text]
             if prec < min_prec:
                 return expr
             self.pos += 1

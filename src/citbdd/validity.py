@@ -59,7 +59,7 @@ from .encode import (
     CompiledConstraints, Encoding, EncodingMode,
     compile_constraints, make_encoding,
 )
-from .model import SutModel, check_assignment, occurrences
+from .model import SutModel, check_assignment, evaluate, occurrences
 
 
 HANDLER_ORACLE = "oracle"
@@ -104,8 +104,7 @@ class OracleHandler(ValidityHandler):
     def __init__(self, model: SutModel):
         self.model = model
         # Parameters of each constraint, and the constraints of each parameter.
-        self._param_sets = tuple(frozenset(p for p, _ in occurrences(c))
-                                 for c in model.constraints)
+        self._param_sets = tuple(frozenset(occurrences(c)) for c in model.constraints)
         self._by_param: dict[int, list[int]] = {}
         for ci, ps in enumerate(self._param_sets):
             for p in ps:
@@ -120,7 +119,7 @@ class OracleHandler(ValidityHandler):
         remaining = [sum(1 for p in ps if values[p] is None)
                      for ps in self._param_sets]
         for ci, rem in enumerate(remaining):
-            if rem == 0 and not model.constraints[ci].evaluate(values):
+            if rem == 0 and not evaluate(model.constraints[ci], values):
                 return False
         unfixed = sorted(p for p in self._constrained if values[p] is None)
         return self._extends(0, unfixed, values, remaining)
@@ -143,7 +142,7 @@ class OracleHandler(ValidityHandler):
             for ci in touched:
                 remaining[ci] -= 1
             for ci in touched:
-                if remaining[ci] == 0 and not constraints[ci].evaluate(values):
+                if remaining[ci] == 0 and not evaluate(constraints[ci], values):
                     ok = False
                     break
             if ok and self._extends(k + 1, unfixed, values, remaining):

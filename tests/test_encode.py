@@ -12,7 +12,12 @@ from citbdd.encode import (
     compile_constraints, constrained_params, encode_full, make_encoding,
     order_parameters,
 )
-from citbdd.model import Connective, Not, eval_constraints, parse_model
+from citbdd.ipog import generate, verify
+from citbdd.model import (
+    Compare, Connective, Not, Parameter, SutModel, eval_constraints, format_constraint,
+    parse_model,
+)
+from citbdd.validity import HANDLER_AND, HANDLER_PARTIAL_DOWN, HANDLER_PARTIAL_UP, build_handler
 
 from model_gen import random_model
 from test_bdd import build_printer_f, printer_formula
@@ -163,6 +168,19 @@ class TestOrderParameters:
             assert order_parameters(m) == _greedy_order(constrained_params(m),
                                                         _bfs_distances(m))
 
+    def test_long_parsed_line(self):
+        # 900 relations joined by ``&&`` over 50 parameters: a tree 900
+        # levels deep, too deep for the BFS oracle's recursive walk.  The
+        # expected order was recorded from the pairwise path comparison
+        # this ordering replaced, which took seconds on this line.
+        m = parse_model("[PARAMETERS]\n" + "".join(f"p{i}: a, b\n" for i in range(50))
+                        + "[CONSTRAINTS]\n"
+                        + " && ".join(f"p{7 * i % 50} != b" for i in range(900)) + "\n")
+        assert order_parameters(m) == (
+            0, 7, 14, 21, 28, 35, 42, 49, 6, 13, 20, 27, 34, 41, 48, 5, 12, 19, 26, 33,
+            40, 47, 4, 11, 18, 25, 32, 39, 43, 36, 29, 22, 15, 8, 1, 44, 37, 30, 23, 16,
+            9, 2, 45, 38, 31, 24, 17, 10, 3, 46)
+
 
 class TestEncodingLayout:
     def test_printer_widths(self, printer):
@@ -194,6 +212,12 @@ class TestEncodingLayout:
     def test_order_must_cover_constrained(self, printer):
         with pytest.raises(ValueError, match="permutation"):
             make_encoding(printer, EncodingMode.FULL, order=(0, 1))
+
+    def test_order_entries_must_be_ints(self, printer):
+        # ``True == 1`` and ``1.0 == 1``, so only the type tells them apart.
+        for order in ((1.0, 0, 2), (True, 0, 2)):
+            with pytest.raises(ValueError, match="permutation"):
+                make_encoding(printer, EncodingMode.FULL, order=order)
 
     def test_dropped(self):
         m = parse_model("[PARAMETERS]\na: 0, 1\nb: 0, 1\nc: 0, 1\n"
@@ -340,3 +364,47 @@ class TestChainScale:
             for c in chain150.constraints:
                 linear = mgr.apply(Op.AND, linear, _translate(mgr, enc, c))
             assert f == linear, mode
+
+
+def deep_tree(levels):
+    """A constraint ``levels`` deep, built in Python since the parser
+    recurses: ``!`` alternating with ``||`` against a relation, the deeper
+    side on the left and on the right in turn.  Returns it with the text
+    ``format_constraint`` gives it, built alongside."""
+    params = (Parameter("a", ("x", "y")), Parameter("b", ("x", "y", "z")),
+              Parameter("c", ("x", "y", "z")), Parameter("d", ("x", "y")))
+    expr, text = Compare(0, "=", 0), "a = x"
+    for k in range(levels // 2):
+        p = k % 4
+        v = k // 4 % len(params[p].domain)
+        rel, rel_text = Compare(p, "=", v), f"{params[p].name} = {params[p].domain[v]}"
+        if k % 2:
+            expr, text = Connective(expr, "||", rel), text + " || " + rel_text
+        else:
+            expr, text = Connective(rel, "||", expr), rel_text + " || " + text
+        expr, text = Not(expr), "!(" + text + ")"
+    return SutModel(params, (expr,)), text
+
+
+class TestDeepTree:
+    """A 10,000-level tree at the interpreter's default recursion limit."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        return deep_tree(10000)
+
+    def test_model_order_and_format(self, deep):
+        model, text = deep
+        assert order_parameters(model) == (0, 1, 2, 3)
+        assert format_constraint(model.constraints[0], model) == text
+
+    @pytest.mark.parametrize("kind", [HANDLER_AND, HANDLER_PARTIAL_UP, HANDLER_PARTIAL_DOWN])
+    def test_generate_and_verify(self, deep, kind):
+        model, _ = deep
+        handler = build_handler(model, kind)
+        cases = list(product(*(range(s) for s in model.sizes)))
+        valid = [eval_constraints(model, case) for case in cases]
+        assert 0 < sum(valid) < len(cases)
+        assert [handler.is_valid(case) for case in cases] == valid
+        suite = generate(model, 2, handler)
+        assert verify(model, suite.rows, 2, handler).ok

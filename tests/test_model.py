@@ -364,41 +364,18 @@ def referenced_params_reference(expr):
         yield expr.right
 
 
-def occurrences_reference(model):
-    """``(param, path)`` over all the constraint trees, each path led by its
-    constraint's index, by the walk ``order_parameters`` once used."""
-    occs = []
-    stack = [(c, (k,)) for k, c in reversed(list(enumerate(model.constraints)))]
-    while stack:
-        expr, path = stack.pop()
-        if isinstance(expr, Not):
-            stack.append((expr.child, path + (0,)))
-        elif isinstance(expr, Connective):
-            stack.append((expr.right, path + (1,)))
-            stack.append((expr.left, path + (0,)))
-        elif isinstance(expr, CompareParams):
-            occs.append((expr.left, path + (0,)))
-            occs.append((expr.right, path + (1,)))
-        else:
-            occs.append((expr.param, path + (0,)))
-    return occs
-
-
 class TestOccurrences:
     def test_match_the_walks_they_replace(self):
         models = [load_model(p.stem) for p in sorted(MODELS_DIR.glob("*.model"))]
         rng = random.Random(7)
         models += [random_model(rng, max_params=12) for _ in range(300)]
         for model in models:
-            assert [(p, (k, *path)) for k, c in enumerate(model.constraints)
-                    for p, path in occurrences(c)] == occurrences_reference(model)
             for c in model.constraints:
-                assert [p for p, _ in occurrences(c)] == \
-                    list(referenced_params_reference(c))
+                assert list(occurrences(c)) == list(referenced_params_reference(c))
 
     def test_deeper_than_the_recursion_limit(self):
         # Built in Python: the parser still recurses once per ``!``.
         expr = Compare(0, "=", 0)
-        for _ in range(3000):
+        for _ in range(10000):
             expr = Not(expr)
-        assert list(occurrences(expr)) == [(0, (0,) * 3001)]
+        assert list(occurrences(expr)) == [0]

@@ -76,8 +76,7 @@ SELF_CALLING_ANY = ("def countdown(n):\n"
 
 # The functions in the package that still recurse.  Converting one to an
 # explicit stack takes it off this list; a new recursion fails the test.
-RECURSIVE = {"_apply", "_exists", "_extend_dash", "_translate", "_format", "evaluate",
-             "_check_expr", "_binary", "_unary", "_extends"}
+RECURSIVE = {"_apply", "_exists", "_extend_dash", "_binary", "_unary", "_extends"}
 
 
 def test_recursion_ratchet():
@@ -85,6 +84,48 @@ def test_recursion_ratchet():
     found = set().union(*(self_calling_functions(ast.parse(path.read_text(encoding="utf-8")))
                           for path in SOURCES))
     assert found == RECURSIVE
+
+
+def tree_walkers(tree):
+    """Names of the functions that read ``.child`` or test ``isinstance``
+    against ``Not`` or ``Connective``: each walks a constraint tree by hand.
+    Code outside any function counts as ``<module>``."""
+    found = set()
+    stack = [(tree, "<module>")]  # (node, name of the innermost function around it)
+    while stack:
+        node, function = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "child"
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and any(isinstance(name, ast.Name) and name.id in ("Not", "Connective")
+                        for name in ast.walk(node.args[1]))):
+            found.add(function)
+        stack.extend((child, function) for child in ast.iter_child_nodes(node))
+    return found
+
+
+# The rule's own check: a ``.child`` read, a test against either node kind,
+# alone or in a tuple, is found, in a function or at module level; a test
+# against a relation kind and another attribute are not.
+WALKS = ("def fold(e):\n"
+         "    return e.child if isinstance(e, Not) else e\n"
+         "def walk(e):\n"
+         "    if isinstance(e, (Compare, Connective)):\n"
+         "        return e.left\n"
+         "def relation(e):\n"
+         "    return isinstance(e, Compare) and e.children\n"
+         "top = node.child\n")
+
+
+def test_fold_is_the_only_tree_walk():
+    assert tree_walkers(ast.parse(WALKS)) == {"fold", "walk", "<module>"}
+    found = {path.name: tree_walkers(ast.parse(path.read_text(encoding="utf-8")))
+             for path in SOURCES}
+    assert {name: walkers for name, walkers in found.items() if walkers} == {
+        "model.py": {"fold"}}
 
 
 def environment_reads(tree):
