@@ -288,34 +288,6 @@ class BddManager:
         memo[f] = res
         return res
 
-    def block_cofactors(self, nodes: Sequence[int], first: int,
-                        width: int) -> list[tuple[int, ...]]:
-        """For each of ``nodes``, the node reached by following each
-        codeword through the contiguous variables ``first .. first + width
-        - 1``.
-
-        Entry ``c`` of a node's tuple is the node with variable ``first + j``
-        fixed to bit ``j`` of ``c``, for all ``2 ** width`` codewords.  No
-        node may depend on a variable above the block.
-        """
-        last = first + width
-        if first < 0 or width < 0 or last > self.var_count:
-            raise BddError(f"variable block {first}..{last - 1} out of "
-                           f"range (manager has {self.var_count} variables)")
-        for f in nodes:
-            self._check(f)
-            if self._level[f] < first:
-                raise BddError(f"node {f} tests variable {self._level[f]}, "
-                               f"above the block starting at {first}")
-        # Entry code * len(nodes) + i follows ``code`` from node i; each
-        # variable appends the set-bit half after the clear-bit half.
-        ends = list(nodes)
-        for k in range(first, last):
-            ends = ([self._low[n] if self._level[n] == k else n for n in ends]
-                    + [self._high[n] if self._level[n] == k else n for n in ends])
-        count = len(nodes)
-        return [tuple(ends[i::count]) for i in range(count)]
-
     def eval(self, f: int, bits: Sequence[int]) -> bool:
         """Evaluate ``f`` by a single root-to-terminal walk."""
         self._check(f)

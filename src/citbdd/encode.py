@@ -1,11 +1,12 @@
 """Boolean encodings of parameters and compilation of constraints to a BDD.
 
 Each parameter that occurs in a constraint gets a contiguous range of
-Boolean variables, least significant bit first.  ``Encoding.var_bits``
-spells that layout out once: entry ``k`` is the ``(parameter, bit)`` that
-BDD variable ``k`` holds, in level order, and ``encode_full`` reads it;
-the conjunction check builds its cube table from ``offsets`` and
-``widths``, the same layout per parameter.  Two encodings exist:
+Boolean variables, and value ``v`` is written into it least significant
+bit first.  ``Encoding.codes`` spells that layout out once: ``codes[pos][v]``
+holds the ``(variable, bit)`` literals of value ``v`` of the parameter at
+``pos``, and under ``WITH_DASH`` ``codes[pos][size]`` holds the all-ones
+codeword.  ``encode_full``, the compiled ``=`` and ``!=`` relations and
+both BDD validity handlers read it.  Two encodings exist:
 
 * ``FULL`` uses ceil(log2 |D|) bits per parameter and can represent only
   fixed values;
@@ -52,7 +53,8 @@ class Encoding:
     widths: tuple[int, ...]   # bits per parameter, aligned with order
     offsets: tuple[int, ...]  # first bit index per parameter, aligned with order
     total_bits: int
-    var_bits: tuple[tuple[int, int], ...]  # (parameter, bit) per variable, level order
+    # Per position, each value's (variable, bit) literals, then the dash's under WITH_DASH.
+    codes: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     dropped: frozenset[int]   # parameters absent from every constraint
     n_params: int
 
@@ -139,19 +141,21 @@ def make_encoding(model: SutModel, mode: EncodingMode,
                 or len(order) != len(constrained)):
             raise ValueError("order must be a permutation of the constrained parameters")
     sizes = tuple(len(model.params[p].domain) for p in order)
-    if mode is EncodingMode.FULL:
-        widths = tuple(_ceil_log2(s) for s in sizes)
-    else:
-        widths = tuple(_ceil_log2(s + 1) for s in sizes)
-    offsets = []
+    full = mode is EncodingMode.FULL
+    widths, offsets, codes = [], [], []
     total = 0
-    for w in widths:
+    for size in sizes:
+        # The codewords: each value least significant bit first, then the dash, all ones.
+        w = _ceil_log2(size if full else size + 1)
+        values = range(size) if full else (*range(size), (1 << w) - 1)
+        codes.append(tuple(tuple((total + j, (v >> j) & 1) for j in range(w))
+                           for v in values))
+        widths.append(w)
         offsets.append(total)
         total += w
-    var_bits = tuple((p, j) for p, w in zip(order, widths) for j in range(w))
     # Either way ``order`` holds exactly the constrained parameters.
-    return Encoding(mode=mode, order=order, sizes=sizes, widths=widths,
-                    offsets=tuple(offsets), total_bits=total, var_bits=var_bits,
+    return Encoding(mode=mode, order=order, sizes=sizes, widths=tuple(widths),
+                    offsets=tuple(offsets), total_bits=total, codes=tuple(codes),
                     dropped=frozenset(range(model.n)).difference(order),
                     n_params=model.n)
 
@@ -159,23 +163,25 @@ def make_encoding(model: SutModel, mode: EncodingMode,
 def encode_full(enc: Encoding, assignment: Sequence[Optional[int]]) -> list[int]:
     """Encode an assignment's constrained parameters as a bit vector.
 
-    Each value is written least-significant-bit first into its parameter's
-    bit range.  Unspecified positions become the all-ones codeword, which is
-    only representable in WITH_DASH mode.
+    Each value's codeword in ``enc.codes`` fills its parameter's bit range.
+    Unspecified positions take the all-ones codeword, which only WITH_DASH
+    mode has.
     """
     if len(assignment) != enc.n_params:
         raise ValueError(f"expected {enc.n_params} values, got {len(assignment)}")
-    for param, size in zip(enc.order, enc.sizes):
+    bits = []
+    for param, size, codes in zip(enc.order, enc.sizes, enc.codes):
         v = assignment[param]
         if v is None:
             if enc.mode is EncodingMode.FULL:
                 raise ValueError(f"parameter #{param} is unspecified, which the "
                                  "FULL encoding cannot represent")
+            v = size  # the dash's codeword
         elif not 0 <= v < size:
             raise ValueError(f"value {v} out of range for parameter #{param} "
                              f"(domain size {size})")
-    return [1 if (v := assignment[p]) is None else (v >> j) & 1
-            for p, j in enc.var_bits]
+        bits += (bit for _, bit in codes[v])
+    return bits
 
 
 @dataclass
@@ -217,13 +223,6 @@ def _value_le(mgr: BddManager, enc: Encoding, pos: int, const: int) -> int:
     return acc
 
 
-def _value_eq(mgr: BddManager, enc: Encoding, pos: int, value: int) -> int:
-    width = enc.widths[pos]
-    offset = enc.offsets[pos]
-    return mgr.make_assignment_cube(
-        (offset + j, (value >> j) & 1) for j in range(width))
-
-
 def _params_eq(mgr: BddManager, enc: Encoding, pos_a: int, pos_b: int) -> int:
     # Compare the overlapping low bits; any excess high bits of the wider
     # parameter must be zero for the values to be equal.
@@ -251,7 +250,7 @@ def _translate(mgr: BddManager, enc: Encoding, expr: ConstraintExpr) -> int:
         pos = enc.order.index(r.param)
         op, value = r.op, r.value
         if op in ("=", "!="):
-            eq = _value_eq(mgr, enc, pos, value)
+            eq = mgr.make_assignment_cube(enc.codes[pos][value])
             return eq if op == "=" else mgr.negate(eq)
         if op in ("<=", ">"):
             le = _value_le(mgr, enc, pos, value)

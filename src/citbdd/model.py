@@ -61,8 +61,40 @@ class ModelError(ValueError):
 # Constraint expression trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Not:
+class _Operator:
+    """``==`` and ``hash`` over the flat post-order tokens (nested tuples would
+    compare recursively), and the dataclass's ``repr``, all by ``fold`` and
+    so for trees of any depth."""
+
+    def _tokens(self) -> tuple:
+        tokens: list = []
+        fold(self, tokens.append, lambda x: tokens.append(Not),
+             lambda op, a, b: tokens.append((Connective, op)))
+        return tuple(tokens)
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._tokens() == other._tokens() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tokens())
+
+    def __repr__(self) -> str:
+        # A node folds to the tuple of its text's parts, all joined at the end.
+        stack = [fold(self, repr, lambda x: ("Not(child=", x, ")"), lambda op, a, b: (
+            "Connective(left=", a, f", op={op!r}, right=", b, ")"))]
+        text = []
+        while stack:
+            part = stack.pop()
+            if isinstance(part, str):
+                text.append(part)
+            else:
+                stack += reversed(part)
+        return "".join(text)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Operator):
     child: "ConstraintExpr"
 
 
@@ -74,8 +106,8 @@ _CONNECTIVES = {"=>": (0, True, operator.le), "||": (1, False, operator.or_),
 _PREC_NOT, _PREC_ATOM = 3, 4
 
 
-@dataclass(frozen=True)
-class Connective:
+@dataclass(frozen=True, eq=False, repr=False)
+class Connective(_Operator):
     """``left op right`` with ``op`` one of ``&&``, ``||``, ``=>``."""
     left: "ConstraintExpr"
     op: str

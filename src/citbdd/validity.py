@@ -18,29 +18,25 @@ Three interchangeable handlers implement the same contract:
 
 The check is ``handler.is_valid``, and each handler has one route through
 it.  The oracle validates the assignment with ``check_assignment`` and
-then decides it.  The conjunction handler keeps a cube table, the
-``(variable, bit)`` literals of every value of every constrained
-parameter: a check range checks each fixed value while it picks that
-value's literals, range checks the dropped parameters, and only then
-builds the cube bottom-up and conjoins it with ``f`` through
-``BddManager._apply`` with the AND tag ``Op.AND.value``, the manager's one
+then decides it.  Both BDD handlers read the bit layout from
+``Encoding.codes`` alone.  The conjunction handler keeps the codes as its
+cube table: a check picks the fixed values' literals, builds the cube and
+conjoins it with ``f`` through ``BddManager._apply``, the manager's one
 binary-operator recursion, so it makes the same nodes and computed-table
 entries as ``apply``.  Most checks repeat a cube seen before and end at
 the computed-table entry for ``cube ∧ f``, the cross-operation memo of
-Brace, Rudell and Bryant (DAC 1990), so the check's own overhead around
-the AND is most of its cost.  The traversal
-handler reads ``g`` as a multi-valued diagram: its constructor builds a
-jump table per constrained parameter, from each node the walk can stand
-on when it reaches the parameter's block of bits to the node each value's
-codeword (and the all-ones codeword) leads to through the block, so a
-check is one table step per constrained parameter, with the range check
-of the value in the same step, and no bit vector.  A value is ``None``
-or an index into its parameter's domain, an index being what
-``operator.index`` accepts (``True`` is 1, ``1.0`` is no index).  In both
-BDD handlers a value that breaks this rule or a wrong length goes to
-``check_assignment``, so every handler rejects bad input with the same
-message, and no node is made for a rejected assignment.  Per-model tables
-are built in the handler's constructor and live as long as the handler.
+Brace, Rudell and Bryant (DAC 1990).  The traversal handler reads ``g``
+as a multi-valued diagram (Srinivasan, Kam, Malik and Brayton, ICCAD
+1990): its constructor follows the codes into a dense jump table per
+constrained parameter and keeps only those tables, so the set-up manager
+is freed when the constructor returns, and a check is one table step per
+constrained parameter.  A value is ``None`` or an index into its
+parameter's domain, an index being what ``operator.index`` accepts
+(``True`` is 1, ``1.0`` is no index).  Both BDD handlers range check each
+value in the step that uses it, and send a value that breaks this rule
+or a wrong length to ``check_assignment``, so every handler rejects bad
+input with the same message, and no node is made for a rejected
+assignment.
 
 All handlers agree on every assignment; the traversal handler trades a more
 expensive setup (one ``extend_dash`` pass per parameter, then the jump
@@ -163,11 +159,10 @@ class ConjunctionHandler(ValidityHandler):
     unless the conjunction is constant false.
 
     The constructor keeps one entry per constrained parameter, bottom-most
-    first: ``(p, size, codes)``, where ``codes[v]`` holds value ``v``'s
-    ``(variable, bit)`` literals, lowest variable first.  A check picks the
-    fixed values' literals in one pass, range checking each value, builds
-    the cube bottom-up and conjoins it with ``f`` by ``BddManager._apply``
-    under the AND tag.
+    first: ``(p, size, codes)``, ``codes`` being the parameter's
+    ``Encoding.codes``.  A check picks the fixed values' literals in one
+    pass, range checking each value, builds the cube bottom-up and
+    conjoins it with ``f`` by ``BddManager._apply`` under the AND tag.
     """
 
     name = HANDLER_AND
@@ -178,17 +173,12 @@ class ConjunctionHandler(ValidityHandler):
             raise ValueError("conjunction checking expects the FULL encoding")
         self.cc = cc
         self.dropped = enc.dropped
-        sizes = cc.model.sizes
-        self._n = len(sizes)
+        self._n = cc.model.n
         # ``past[v]`` is False for every index of a dropped parameter's
         # domain, and raises for one past its end or for a non-index.
-        self._dropped = tuple((p, (False,) * sizes[p]) for p in sorted(enc.dropped))
+        self._dropped = tuple((p, (False,) * cc.model.sizes[p]) for p in sorted(enc.dropped))
         self._and_tag = Op.AND.value
-        self._cubes = tuple(
-            (p, size, tuple(tuple((first + j, (v >> j) & 1) for j in range(width))
-                            for v in range(size)))
-            for p, size, first, width
-            in reversed(tuple(zip(enc.order, enc.sizes, enc.offsets, enc.widths))))
+        self._cubes = tuple(reversed(tuple(zip(enc.order, enc.sizes, enc.codes))))
 
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
         cc = self.cc
@@ -282,61 +272,69 @@ def build_partial_bdd(cc: CompiledConstraints,
 
 class TraversalHandler(ValidityHandler):
     """Validity by one root-to-terminal walk of the partial-test-case BDD,
-    taken one parameter at a time; no BDD is constructed.
+    read as a multi-valued decision diagram; no BDD is constructed.
 
-    The constructor reads ``g`` as a multi-valued decision diagram: for
-    each constrained parameter, in level order, a jump table maps every
-    node the walk can stand on when it reaches the parameter's block of
-    bits (terminals included) to ``(vals, dash)``, the nodes reached by
-    following value ``v``'s codeword (``vals[v]``) and the all-ones
-    codeword (``dash``) through the block.  A check is then one table step
-    per constrained parameter, with no bit vector.
+    From each node the walk can stand on at a parameter's block of bits,
+    the constructor follows each of the parameter's ``Encoding.codes``
+    through the block, numbering the nodes reached from 0 in order of
+    first reach.  A step is ``(p, size, rows)``: ``rows[node][v]`` is value
+    ``v``'s next node and ``rows[node][size]`` the dash's.  Only the tables
+    and the model are kept, not ``pb``, so the manager dies with set-up.
     """
 
     def __init__(self, pb: PartialValidityBdd):
-        self.pb = pb
         enc = pb.encoding
+        self.model = pb.model
         self.dropped = enc.dropped
         self.name = (HANDLER_PARTIAL_UP if pb.quant_order is QuantOrder.UP
                      else HANDLER_PARTIAL_DOWN)
-        sizes = pb.model.sizes
-        self._n = len(sizes)
-        self._dropped = tuple((p, (False,) * sizes[p]) for p in sorted(enc.dropped))
-        mgr = pb.manager
+        self._n = pb.model.n
+        self._dropped = tuple((p, (False,) * pb.model.sizes[p]) for p in sorted(enc.dropped))
+        level, low, high = pb.manager._level, pb.manager._low, pb.manager._high
         steps = []
-        nodes = [pb.g]  # where the walk can stand at the next block
-        for p, size, first, width in zip(enc.order, enc.sizes, enc.offsets, enc.widths):
-            table = {node: (ends[:size], ends[-1]) for node, ends
-                     in zip(nodes, mgr.block_cofactors(nodes, first, width))}
-            steps.append((p, size, table))
-            nodes = list({nxt for vals, dash in table.values() for nxt in (*vals, dash)})
+        numbers = {pb.g: 0}  # where the walk can stand at the next block
+        for p, size, codes in zip(enc.order, enc.sizes, enc.codes):
+            reached: dict[int, int] = {}
+            rows = []
+            for node in numbers:  # in the order of their numbers
+                row = []
+                for code in codes:
+                    end = node
+                    for var, bit in code:
+                        if level[end] == var:
+                            end = high[end] if bit else low[end]
+                    row.append(reached.setdefault(end, len(reached)))
+                rows.append(tuple(row))
+            steps.append((p, size, tuple(rows)))
+            numbers = reached
         self._steps = tuple(steps)
+        # Every walk ends at a terminal; with none reaching TRUE, none accepts.
+        self._accept = numbers.get(TRUE)
 
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
         if len(assignment) != self._n:
-            check_assignment(self.pb.model, assignment)
-        node = self.pb.g
+            check_assignment(self.model, assignment)
+        node = 0
         # No early exit at FALSE: every value must still be checked.  A bad
         # one (a negative one too, which a tuple index would wrap, or one
         # that raises as no index) goes to check_assignment for its message.
         try:
-            for p, size, table in self._steps:
+            for p, size, rows in self._steps:
                 v = assignment[p]
-                vals, dash = table[node]
                 if v is None:
-                    node = dash
+                    node = rows[node][size]
                 elif 0 <= v < size:
-                    node = vals[v]
+                    node = rows[node][v]
                 else:
-                    check_assignment(self.pb.model, assignment)
+                    check_assignment(self.model, assignment)
             for p, past in self._dropped:
                 v = assignment[p]
                 if v is not None and (v < 0 or past[v]):
-                    check_assignment(self.pb.model, assignment)
+                    check_assignment(self.model, assignment)
         except (TypeError, IndexError):
-            check_assignment(self.pb.model, assignment)
+            check_assignment(self.model, assignment)
             raise
-        return node == TRUE
+        return node == self._accept
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +347,10 @@ def build_handler(model: SutModel, kind: str) -> ValidityHandler:
         return OracleHandler(model)
     if kind == HANDLER_AND:
         enc = make_encoding(model, EncodingMode.FULL)
-        mgr = BddManager(enc.total_bits)
-        return ConjunctionHandler(compile_constraints(model, enc, mgr))
+        return ConjunctionHandler(compile_constraints(model, enc, BddManager(enc.total_bits)))
     if kind in (HANDLER_PARTIAL_UP, HANDLER_PARTIAL_DOWN):
         enc = make_encoding(model, EncodingMode.WITH_DASH)
-        mgr = BddManager(enc.total_bits)
-        cc = compile_constraints(model, enc, mgr)
+        cc = compile_constraints(model, enc, BddManager(enc.total_bits))
         order = QuantOrder.UP if kind == HANDLER_PARTIAL_UP else QuantOrder.DOWN
         return TraversalHandler(build_partial_bdd(cc, order))
     raise ValueError(f"unknown handler kind {kind!r}; expected one of {HANDLER_KINDS}")

@@ -281,36 +281,6 @@ class TestExtendDash:
             mgr.extend_dash(0, 1, 99)
 
 
-class TestBlockCofactors:
-    def test_fixes_the_block_to_each_codeword(self):
-        rng = random.Random(12)
-        for _ in range(30):
-            n = rng.randint(2, 7)
-            mgr = BddManager(n)
-            f = build(mgr, random_formula(rng, n, rng.randint(2, 12)))
-            first = rng.randrange(n)
-            width = rng.randint(0, n - first)
-            # f must not depend on the variables above the block.
-            f = mgr.exists(mgr.make_cube(range(first)), f)
-            [ends, again] = mgr.block_cofactors([f, f], first, width)
-            assert ends == again and len(ends) == 1 << width
-            for code, node in enumerate(ends):
-                for bits in all_bits(n):
-                    fixed = list(bits)
-                    for j in range(width):
-                        fixed[first + j] = (code >> j) & 1
-                    assert mgr.eval(node, bits) == mgr.eval(f, fixed)
-
-    def test_rejects_bad_blocks(self):
-        mgr = BddManager(4)
-        with pytest.raises(BddError, match="out of range"):
-            mgr.block_cofactors([TRUE], 3, 2)
-        with pytest.raises(BddError, match="above the block"):
-            mgr.block_cofactors([TRUE, mgr.mk_var(0)], 1, 2)
-        with pytest.raises(BddError, match="unknown node handle"):
-            mgr.block_cofactors([99], 0, 1)
-
-
 class TestEval:
     def test_true_everywhere(self):
         mgr = BddManager(3)

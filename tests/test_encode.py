@@ -22,6 +22,7 @@ from citbdd.validity import HANDLER_AND, HANDLER_PARTIAL_DOWN, HANDLER_PARTIAL_U
 from model_gen import random_model
 from test_bdd import build_printer_f, printer_formula
 from formula_oracle import all_bits
+from conftest import MODELS_DIR, load_model
 
 
 class TestConstrainedParams:
@@ -226,6 +227,24 @@ class TestEncodingLayout:
         assert enc.dropped == {0, 2}
         assert enc.order == (1,)
 
+    def test_codes_on_every_shipped_model(self):
+        # Value v's literals are its bits, least significant first, on the
+        # parameter's block; WITH_DASH alone adds the all-ones codeword.
+        for path in sorted(MODELS_DIR.glob("*.model")):
+            model = load_model(path.stem)
+            for mode in EncodingMode:
+                enc = make_encoding(model, mode)
+                assert len(enc.codes) == len(enc.order), (path.stem, mode)
+                for pos, (size, codes) in enumerate(zip(enc.sizes, enc.codes)):
+                    first, width = enc.offsets[pos], enc.widths[pos]
+                    assert codes[:size] == tuple(
+                        tuple((first + j, (v >> j) & 1) for j in range(width))
+                        for v in range(size)), (path.stem, mode, pos)
+                    if mode is EncodingMode.WITH_DASH:
+                        assert codes[size:] == (tuple((first + j, 1) for j in range(width)),)
+                    else:
+                        assert len(codes) == size
+
 
 class TestEncodeFull:
     def test_full_test_case(self, printer):
@@ -392,6 +411,18 @@ class TestDeepTree:
     @pytest.fixture(scope="class")
     def deep(self):
         return deep_tree(10000)
+
+    def test_equality_hash_and_repr(self, deep):
+        model, _ = deep
+        other, _ = deep_tree(10000)
+        expr, again = model.constraints[0], other.constraints[0]
+        assert expr is not again and expr == again and not expr != again
+        assert model == other and hash(model) == hash(other)
+        assert hash(expr) == hash(again)
+        assert repr(expr) == repr(again)
+        assert repr(expr).startswith("Not(child=Connective(left=")
+        assert Not(expr) != expr and Connective(expr, "&&", expr) != Connective(expr, "||", again)
+        assert {expr: 1}[again] == 1
 
     def test_model_order_and_format(self, deep):
         model, text = deep

@@ -14,7 +14,7 @@ from citbdd.model import (
     eval_constraints, format_constraint, occurrences, parse_constraint, parse_model,
 )
 
-from conftest import MODELS_DIR, load_model
+from conftest import MODELS_DIR, PRINTER_TEXT, load_model
 from model_gen import random_model
 
 
@@ -324,6 +324,64 @@ class TestRoundTrip:
     def test_random_trees(self, expr):
         text = format_constraint(expr, _RT_MODEL)
         assert parse_constraint(text, _RT_MODEL) == expr
+
+
+def _structure(e):
+    """``e`` as nested tuples of class name and fields: a reference for the
+    equality the dataclasses gave the operator nodes."""
+    if isinstance(e, Not):
+        return ("Not", _structure(e.child))
+    if isinstance(e, Connective):
+        return ("Connective", _structure(e.left), e.op, _structure(e.right))
+    return e
+
+
+def _rebuilt(e):
+    """A structurally equal copy of ``e`` that shares no operator node with it."""
+    if isinstance(e, Not):
+        return Not(_rebuilt(e.child))
+    if isinstance(e, Connective):
+        return Connective(_rebuilt(e.left), e.op, _rebuilt(e.right))
+    return e
+
+
+def _dataclass_repr(e):
+    """The text the dataclass-generated ``repr`` gave, recursively."""
+    if isinstance(e, Not):
+        return f"Not(child={_dataclass_repr(e.child)})"
+    if isinstance(e, Connective):
+        return (f"Connective(left={_dataclass_repr(e.left)}, op={e.op!r}, "
+                f"right={_dataclass_repr(e.right)})")
+    return repr(e)
+
+
+class TestOperatorIdentity:
+    """``==``, ``hash`` and ``repr`` of ``Not`` and ``Connective`` go through
+    ``fold`` and keep what the dataclasses gave small trees."""
+
+    def test_printer_constraints(self, printer):
+        first, second = printer.constraints
+        assert repr(second) == (
+            "Connective(left=Compare(param=1, op='=', value=0), op='=>', "
+            "right=Not(child=Compare(param=2, op='=', value=0)))")
+        assert repr(printer).endswith(f"constraints=({first!r}, {second!r}))")
+        assert second == _rebuilt(second) and hash(second) == hash(_rebuilt(second))
+        assert first != second and Not(first) != first and Not(first) != Not(second)
+        assert Connective(first, "&&", second) != Connective(first, "||", second)
+        assert Not(first).__eq__(first.left) is NotImplemented
+        assert len({first, second, _rebuilt(first), _rebuilt(second)}) == 2
+        assert parse_model(PRINTER_TEXT) == printer
+        assert hash(parse_model(PRINTER_TEXT)) == hash(printer)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_exprs(12), _exprs(12))
+    def test_random_trees(self, a, b):
+        copy = _rebuilt(a)
+        assert copy == a and not copy != a and hash(copy) == hash(a)
+        assert repr(a) == _dataclass_repr(a)
+        assert (a == b) == (_structure(a) == _structure(b))
+        if a == b:
+            assert hash(a) == hash(b)
 
 
 # SHA-256 over ``format_constraint`` of every constraint of the shipped

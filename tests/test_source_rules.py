@@ -223,3 +223,76 @@ def test_no_unused_functions():
     assert len(using) > len(SOURCES)
     defining = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
     assert unused_functions(defining, using) == []
+
+
+def private_names(tree, cls):
+    """The private names of class ``cls`` in ``tree``: its methods and the
+    attributes it sets on ``self`` whose names start with one underscore."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for member in ast.walk(node):
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(member.name)
+                elif (isinstance(member, ast.Attribute) and isinstance(member.ctx, ast.Store)
+                      and isinstance(member.value, ast.Name) and member.value.id == "self"):
+                    names.add(member.attr)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def private_reads(tree, names):
+    """Where ``tree`` reads an attribute named in ``names``: a map from the
+    dotted name of the innermost class and function around each read
+    (``<module>`` outside any) to the names read there."""
+    found = {}
+    stack = [(tree, "")]  # (node, dotted name of the definitions around it)
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr in names):
+            found.setdefault(where or "<module>", set()).add(node.attr)
+        stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    return found
+
+
+# The rule's own check: a class's private methods and ``self`` attributes
+# are its private names, a dunder and a public name are not; a read of one
+# is placed by class and function, and a write or another name is not read.
+ENGINE = ("class Engine:\n"
+          "    def __init__(self):\n"
+          "        self._store = []\n"
+          "        self.size = 0\n"
+          "    def _grow(self):\n"
+          "        return self._store\n"
+          "    def run(self):\n"
+          "        return self._grow()\n")
+CLIENT = ("class Client:\n"
+          "    def walk(self, engine):\n"
+          "        engine._store = engine._store + [engine.size]\n"
+          "        self._own = 1\n"
+          "def build(engine):\n"
+          "    return engine._grow()\n"
+          "first = Engine()._store\n")
+
+# Outside bdd.py the engine's private names are read in two places only:
+# the conjunction check builds its cube and conjoins it without the public
+# methods' handle checks, and the traversal handler's constructor follows
+# codes through the nodes into its jump tables.
+ENGINE_READS = {("validity.py", "ConjunctionHandler.is_valid"): {"_mk", "_apply"},
+                ("validity.py", "TraversalHandler.__init__"): {"_level", "_low", "_high"}}
+
+
+def test_engine_privates_read_in_two_places():
+    engine = private_names(ast.parse(ENGINE), "Engine")
+    assert engine == {"_store", "_grow"}
+    assert private_reads(ast.parse(CLIENT), engine) == {
+        "Client.walk": {"_store"}, "build": {"_grow"}, "<module>": {"_store"}}
+    [bdd] = [path for path in SOURCES if path.name == "bdd.py"]
+    names = private_names(ast.parse(bdd.read_text(encoding="utf-8")), "BddManager")
+    assert {"_level", "_low", "_high", "_mk", "_apply", "_unique", "_cache"} <= names
+    found = {(path.name, where): read for path in SOURCES if path.name != "bdd.py"
+             for where, read in private_reads(ast.parse(path.read_text(encoding="utf-8")),
+                                              names).items()}
+    assert found == ENGINE_READS

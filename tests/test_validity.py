@@ -3,7 +3,6 @@
 import gc
 import hashlib
 import random
-import weakref
 from itertools import product
 
 import pytest
@@ -462,17 +461,18 @@ class TestHandlerFactory:
             assert build_handler(m, kind).dropped == {0, 2}
 
     def test_store_freed_without_the_cycle_collector(self):
-        # Dropping a traversal handler frees its manager by reference
-        # counting alone: nothing built during set-up may hold the manager
-        # in a reference cycle.
+        # The traversal handler holds only its tables, so the set-up
+        # manager dies when build_handler returns, by reference counting
+        # alone: nothing may hold it, in a reference cycle or otherwise.
         model = load_model("synth20")
         gc.disable()
         try:
+            before = [o for o in gc.get_objects() if isinstance(o, BddManager)]
             for kind in ("bdd-partial-up", "bdd-partial-down"):
                 handler = build_handler(model, kind)
-                store = weakref.ref(handler.pb.manager)
-                del handler
-                assert store() is None, kind
+                assert handler.is_valid((None,) * model.n)
+                assert [o for o in gc.get_objects() if isinstance(o, BddManager)
+                        and not any(o is b for b in before)] == [], kind
         finally:
             gc.enable()
 
