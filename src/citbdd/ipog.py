@@ -27,15 +27,25 @@ lowest bit up, which is row order.  Vertical growth keeps the masks in step
 as it fills positions and appends rows.
 
 Rows may keep unspecified positions; ``fill_dashes`` completes them with
-the smallest values that keep each row valid.  ``verify`` independently
-checks a finished suite for invalid rows and for uncovered valid
-combinations.
+the smallest values that keep each row valid.
+
+``verify`` independently checks a finished suite for invalid rows and for
+uncovered valid combinations.  It asks the handler about every row, then
+reads the suite through the same row bitmasks, without the unspecified
+one: an unspecified position covers no value.  It walks the t-subsets in
+lexicographic order, grouped by their first t-1 parameters, and ANDs each
+such prefix's masks once, in ``product`` order.  A subset is fully covered
+when every prefix AND meets every value mask of its last parameter, and
+that is one C-level pass, ``all(starmap(and_, product(...)))``.  Only a
+subset with a zero AND is enumerated, and the handler is asked about
+exactly its uncovered combinations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, product, starmap
+from operator import and_
 from typing import Optional, Sequence
 
 from .model import Assignment, SutModel
@@ -267,7 +277,14 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
 def verify(model: SutModel, rows: Sequence[Sequence[Optional[int]]], t: int,
            handler: ValidityHandler) -> VerifyReport:
     """Check a suite: every row must be valid and every valid t-way value
-    combination must be covered by some row."""
+    combination must be covered by some row.
+
+    The rows are checked first, so a bad value or length raises the
+    handler's ``ValueError`` before the masks are built.  Coverage costs one
+    AND per value combination, run in C for a fully covered subset, and one
+    ``is_valid`` call per uncovered combination; ``uncovered`` lists the
+    valid ones in ``combinations`` and then ``product`` order.
+    """
     n = model.n
     if not 1 <= t <= n:
         raise ValueError(f"strength {t} out of range for {n} parameters")
@@ -280,14 +297,31 @@ def verify(model: SutModel, rows: Sequence[Sequence[Optional[int]]], t: int,
         if not handler.is_valid(row):
             report.invalid_rows.append((idx, tuple(row)))
 
-    # The suite by column: each subset's covered values are one zip of its
-    # columns.  An unspecified position is None and so covers no value.
-    columns = [[row[p] for row in rows] for p in range(n)]
-    for subset in combinations(range(n), t):
-        covered = set(zip(*(columns[p] for p in subset)))
-        for values in product(*(range(sizes[p]) for p in subset)):
-            if values in covered:
-                continue
-            if handler.is_valid(_row(n, subset, values)):
-                report.uncovered.append((subset, values))
+    # masks[p][w]: bit i set when row i holds w at p.  An unspecified
+    # position covers no value, so its mask is dropped.
+    masks = []
+    for p in range(n):
+        by_value = _value_masks(rows, p, sizes[p])
+        del by_value[None]
+        masks.append(tuple(by_value.values()))
+
+    # The t-subsets in lexicographic order, grouped by their first t - 1
+    # parameters.  A prefix's ANDs are built once, in product order (-1 is
+    # every row), and serve every last parameter after it.
+    for prefix in combinations(range(n - 1), t - 1):
+        ands = [-1]
+        for p in prefix:
+            ands = list(starmap(and_, product(ands, masks[p])))
+        for last in range(prefix[-1] + 1 if prefix else 0, n):
+            last_masks = masks[last]
+            if all(starmap(and_, product(ands, last_masks))):
+                continue  # every combination of the subset is covered
+            subset = (*prefix, last)
+            for values, m in zip(product(*(range(sizes[p]) for p in prefix)), ands):
+                for w, m_w in enumerate(last_masks):
+                    if m & m_w:
+                        continue
+                    combo = (*values, w)
+                    if handler.is_valid(_row(n, subset, combo)):
+                        report.uncovered.append((subset, combo))
     return report

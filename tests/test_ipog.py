@@ -1,15 +1,16 @@
 """Tests for suite generation and verification."""
 
+import hashlib
 import random
 from itertools import combinations, product
 
 import pytest
 
-from citbdd.ipog import generate, verify
+from citbdd.ipog import VerifyReport, _row, generate, verify
 from citbdd.model import eval_constraints, parse_model
 from citbdd.validity import HANDLER_KINDS, OracleHandler, ValidityHandler, build_handler
 
-from conftest import load_model
+from conftest import MODELS_DIR, load_model
 from model_gen import random_model
 
 # A known-good 10-row strength-2 suite for the printer model, with three
@@ -190,10 +191,11 @@ class TestVerify:
         assert "Paper size=B4" in text
         assert "FAILED" in text
 
-    def test_row_length_checked(self, printer):
-        handler = build_handler(printer, "oracle")
+    @pytest.mark.parametrize("kind", HANDLER_KINDS)
+    def test_row_length_checked(self, printer, kind):
+        handler = build_handler(printer, kind)
         with pytest.raises(ValueError, match="entries"):
-            verify(printer, [(0, 0)], 2, handler)
+            verify(printer, [*KNOWN_GOOD_PRINTER_SUITE, (0, 0)], 2, handler)
 
 
 class RecordingHandler(ValidityHandler):
@@ -269,3 +271,161 @@ class TestRandomModels:
                     assert suite.diagnostic == expected.diagnostic, where
                     report = verify(model, suite.rows, t, oracle)
                     assert report.ok, f"{where}: {report.describe(model)}"
+
+
+def verify_reference(model, rows, t, handler):
+    """``verify`` as it was before it read the suite as row bitmasks: one
+    set of value tuples per t-subset, probed once per value combination."""
+    n = model.n
+    if not 1 <= t <= n:
+        raise ValueError(f"strength {t} out of range for {n} parameters")
+    sizes = model.sizes
+    report = VerifyReport(suite_size=len(rows))
+
+    for idx, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"row {idx} has {len(row)} entries, expected {n}")
+        if not handler.is_valid(row):
+            report.invalid_rows.append((idx, tuple(row)))
+
+    # The suite by column: each subset's covered values are one zip of its
+    # columns.  An unspecified position is None and so covers no value.
+    columns = [[row[p] for row in rows] for p in range(n)]
+    for subset in combinations(range(n), t):
+        covered = set(zip(*(columns[p] for p in subset)))
+        for values in product(*(range(sizes[p]) for p in subset)):
+            if values in covered:
+                continue
+            if handler.is_valid(_row(n, subset, values)):
+                report.uncovered.append((subset, values))
+    return report
+
+
+class Digest:
+    """Stands in for a list and keeps only the count and a digest of what is
+    appended: an empty suite at t=4 makes hundreds of thousands of calls."""
+
+    def __init__(self):
+        self.count = 0
+        self._sha = hashlib.sha256()
+
+    def append(self, item):
+        self.count += 1
+        self._sha.update(repr(item).encode())
+
+    def extend(self, items):
+        for item in items:
+            self.append(item)
+        return self
+
+    def value(self):
+        return self.count, self._sha.hexdigest()
+
+
+def _outcome(check, model, rows, t, handler):
+    """What ``check`` reports on a suite, and the ``is_valid`` calls it makes."""
+    recording = RecordingHandler(handler)
+    recording.calls = Digest()
+    report = check(model, rows, t, recording)
+    return (report.suite_size, report.invalid_rows,
+            Digest().extend(report.uncovered).value(), recording.calls.value())
+
+
+def _sweep_suites(model, rows, rng):
+    """The generated suite and its damaged variants, by name."""
+    violating = next((row for row in product(*map(range, model.sizes))
+                      if not eval_constraints(model, row)), None)
+    suites = {
+        "generated": rows,
+        "every 2nd row removed": rows[::2],
+        "every 3rd row removed": [row for i, row in enumerate(rows) if i % 3 != 2],
+        "cells blanked": [tuple(None if rng.random() < 0.2 else v for v in row)
+                          for row in rows],
+        "empty": [],
+    }
+    if violating is not None:  # an unconstrained model has no violating row
+        suites["violating row appended"] = [*rows, violating]
+    return suites
+
+
+def _assert_matches_reference(model, t, handler, where, rng):
+    rows = generate(model, t, handler).rows
+    for label, suite in _sweep_suites(model, rows, rng).items():
+        expected = _outcome(verify_reference, model, suite, t, handler)
+        assert _outcome(verify, model, suite, t, handler) == expected, \
+            f"{where}, t={t}, {label}"
+
+
+class TestVerifyMatchesReference:
+    """``verify`` gives the reference's report, ``uncovered`` in the same
+    order, from the same ``is_valid`` calls."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in MODELS_DIR.glob("*.model")))
+    def test_shipped_models(self, name):
+        model = load_model(name)
+        handler = build_handler(model, "bdd-partial-up")
+        for t in range(1, min(4, model.n) + 1):
+            _assert_matches_reference(model, t, handler, name, random.Random(f"{name}/{t}"))
+
+    def test_random_models(self):
+        rng = random.Random(19)
+        for i in range(120):
+            model = random_model(rng, max_params=6)
+            handler = build_handler(model, HANDLER_KINDS[i % len(HANDLER_KINDS)])
+            for t in range(1, min(4, model.n) + 1):
+                _assert_matches_reference(model, t, handler, f"model {i}", rng)
+
+
+# A model with a dropped parameter: P3 occurs in no constraint.
+DROPPED_MODEL = ("[PARAMETERS]\nP1: a, b\nP2: a, b, c\nP3: a, b\n"
+                 "[CONSTRAINTS]\nP1 = a => P2 = b\n")
+
+
+class TestVerifyBadValues:
+    """A bad value fails in the row pass with the handler's message, never
+    in building the coverage masks."""
+
+    @pytest.mark.parametrize("kind", HANDLER_KINDS)
+    @pytest.mark.parametrize("position", [0, 2], ids=["constrained", "dropped"])
+    def test_bad_value_raises_from_the_row_pass(self, kind, position):
+        model = parse_model(DROPPED_MODEL)
+        handler = build_handler(model, kind)
+        assert handler.dropped == {2}
+        rows = generate(model, 2, handler).rows
+        for bad in (model.sizes[position], -1, 1.0, "a"):
+            row = list(rows[1])
+            row[position] = bad
+            recording = RecordingHandler(handler)
+            with pytest.raises(ValueError, match="out of range"):
+                verify(model, [rows[0], tuple(row), *rows[2:]], 2, recording)
+            assert recording.calls == [rows[0], tuple(row)], f"{kind}: {bad!r}"
+
+
+class IsValidOnly:
+    """A handler that lets only ``is_valid`` and ``dropped`` through: reading
+    any other attribute fails the test."""
+
+    def __init__(self, inner):
+        object.__setattr__(self, "_inner", inner)
+
+    def __getattribute__(self, name):
+        if name not in ("is_valid", "dropped"):
+            raise AssertionError(f"handler.{name} read")
+        return getattr(object.__getattribute__(self, "_inner"), name)
+
+
+class TestHandlerContract:
+    """``generate`` and ``verify`` call nothing on the handler but
+    ``is_valid``, and read nothing but ``dropped``."""
+
+    @pytest.mark.parametrize("name", ["printer", "sparse12", "synth16"])
+    def test_is_valid_and_dropped_suffice(self, name):
+        model = load_model(name)
+        handler = build_handler(model, "bdd-partial-up")
+        stub = IsValidOnly(handler)
+        with pytest.raises(AssertionError, match="handler.name read"):
+            stub.name
+        rows = generate(model, 2, stub).rows
+        assert rows == generate(model, 2, handler).rows
+        for suite in (rows, rows[::2], []):
+            assert verify(model, suite, 2, stub) == verify(model, suite, 2, handler)
