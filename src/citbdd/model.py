@@ -178,13 +178,34 @@ def occurrences(expr: ConstraintExpr) -> list[int]:
     return found
 
 
-def evaluate(expr: ConstraintExpr, values: Sequence[Optional[int]]) -> bool:
-    """Decide ``expr`` on ``values``, which fix its parameters; both operands are evaluated."""
-    def relation(r: Union[Compare, CompareParams]) -> bool:
-        if isinstance(r, Compare):
-            return _COMPARE[r.op](values[r.param], r.value)
-        return _COMPARE[r.op](values[r.left], values[r.right])
-    return fold(expr, relation, operator.not_, lambda op, a, b: _CONNECTIVES[op][2](a, b))
+def predicate(expr: ConstraintExpr) -> Callable[[Sequence[Optional[int]]], bool]:
+    """``expr`` compiled once into a function that decides it on values
+    fixing its parameters.  One ``fold`` lists its steps in post-order, and
+    the function runs them over a stack of truth values, so no tree is too
+    deep for it; both operands of every connective are evaluated."""
+    steps: list[tuple[int, Callable, int, int]] = []
+    fold(expr,
+         lambda r: steps.append((0, _COMPARE[r.op], r.param, r.value) if isinstance(r, Compare)
+                                else (1, _COMPARE[r.op], r.left, r.right)),
+         lambda x: steps.append((2, operator.not_, 0, 0)),
+         lambda op, a, b: steps.append((3, _CONNECTIVES[op][2], 0, 0)))
+    program = tuple(steps)
+
+    def holds(values: Sequence[Optional[int]]) -> bool:
+        stack: list[bool] = []
+        push = stack.append
+        for kind, function, a, b in program:
+            if kind == 0:    # parameter against a value
+                push(function(values[a], b))
+            elif kind == 1:  # parameter against a parameter
+                push(function(values[a], values[b]))
+            elif kind == 2:
+                stack[-1] = not stack[-1]
+            else:
+                right = stack.pop()
+                stack[-1] = function(stack[-1], right)
+        return stack[0]
+    return holds
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +292,7 @@ def eval_constraints(model: SutModel, t: Sequence[Optional[int]]) -> bool:
     if None in t:
         raise ValueError("test case is not full: parameter "
                          f"{model.params[list(t).index(None)].name!r} is unspecified")
-    return all(evaluate(c, t) for c in model.constraints)
+    return all(predicate(c)(t) for c in model.constraints)
 
 
 def _check_op(op: object, table: Collection[str], message: str) -> None:

@@ -4,6 +4,9 @@ import csv
 import io
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +130,32 @@ def test_bare_memory_error_names_itself(tmp_path, printer_path, capsys, monkeypa
             "verify": ["verify", str(printer_path), str(suite), "-t", "2"]}[command]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+# A child that, once its imports are done, limits its own address space to
+# its current size plus a few MB and then runs the CLI: its allocations
+# fail with a real MemoryError, and no other process is limited.
+LIMITED_CHILD = """\
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from citbdd.cli import main
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) << 10 for line in status if line.startswith("VmSize:"))
+limit = size + (int(sys.argv[2]) << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_real_memory_exhaustion_exits_2_with_one_line(tmp_path):
+    # synth20 at t=3 under bdd-and needs about 20 MB more than the imports.
+    src = Path(cli.__file__).resolve().parent.parent
+    argv = ["generate", str(MODELS_DIR / "synth20.model"), "-t", "3",
+            "--handler", "bdd-and", "-o", str(tmp_path / "suite.csv")]
+    child = subprocess.run([sys.executable, "-c", LIMITED_CHILD, str(src), "4", *argv],
+                           capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stderr) == (2, "error: MemoryError\n")
 
 
 def test_generate_to_a_missing_directory_exits_2(tmp_path, printer_path, capsys):

@@ -17,7 +17,9 @@ from citbdd.model import (
     Compare, Connective, Not, Parameter, SutModel, eval_constraints, format_constraint,
     parse_model,
 )
-from citbdd.validity import HANDLER_AND, HANDLER_PARTIAL_DOWN, HANDLER_PARTIAL_UP, build_handler
+from citbdd.validity import (
+    HANDLER_AND, HANDLER_ORACLE, HANDLER_PARTIAL_DOWN, HANDLER_PARTIAL_UP, build_handler,
+)
 
 from model_gen import random_model
 from test_bdd import build_printer_f, printer_formula
@@ -429,7 +431,8 @@ class TestDeepTree:
         assert order_parameters(model) == (0, 1, 2, 3)
         assert format_constraint(model.constraints[0], model) == text
 
-    @pytest.mark.parametrize("kind", [HANDLER_AND, HANDLER_PARTIAL_UP, HANDLER_PARTIAL_DOWN])
+    @pytest.mark.parametrize("kind", [HANDLER_AND, HANDLER_PARTIAL_UP, HANDLER_PARTIAL_DOWN,
+                                      HANDLER_ORACLE])
     def test_generate_and_verify(self, deep, kind):
         model, _ = deep
         handler = build_handler(model, kind)

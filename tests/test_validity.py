@@ -12,13 +12,14 @@ from citbdd.encode import EncodingMode, compile_constraints, encode_full, make_e
 from citbdd.ipog import generate
 from citbdd.model import eval_constraints, parse_model
 from citbdd.validity import (
-    COLLECT_FLOOR, HANDLER_KINDS, ConjunctionHandler, OracleHandler, QuantOrder,
-    TraversalHandler, build_handler, build_partial_bdd,
+    AND_STORE_LIMIT, COLLECT_FLOOR, HANDLER_KINDS, ConjunctionHandler, OracleHandler,
+    QuantOrder, TraversalHandler, build_handler, build_partial_bdd,
 )
 
 from conftest import MODELS_DIR, load_model
 from model_gen import all_assignments, chain_model, random_model
 from test_bdd import extend_dash_reference
+from test_golden_suites import CountingHandler
 
 
 def literal_validity(model, assignment):
@@ -149,6 +150,97 @@ class TestConjunctionCheck:
                 assert mgr.node_count == before, (p, bad)
         handler.is_valid(row)
         assert mgr.node_count > before  # the same row, in range, does make nodes
+
+    def test_repeated_check_leaves_the_store_as_it_was(self):
+        # A repeat is answered from the memo: no node, no computed-table entry.
+        model = load_model("synth20")
+        handler = build_handler(model, "bdd-and")
+        mgr = handler.cc.manager
+        rng = random.Random(6)
+        rows = [[rng.randrange(size) if rng.random() < 0.3 else None for size in model.sizes]
+                for _ in range(300)]
+        answers = [handler.is_valid(row) for row in rows]
+        assert 0 < sum(answers) < len(rows)
+        for row, answer in zip(rows, answers):
+            store = (mgr.node_count, len(mgr._cache))
+            assert handler.is_valid(row) is answer
+            assert (mgr.node_count, len(mgr._cache)) == store
+
+    @pytest.mark.parametrize("where", ["constrained", "dropped"])
+    def test_memo_keeps_the_value_rule(self, where):
+        # The memo is keyed only by values that passed the range check, so a
+        # bad value in an answered row, even one equal and hashing alike to a
+        # good value (1.0 == 1), still raises and makes nothing.
+        model = load_model("synth20")
+        handler = build_handler(model, "bdd-and")
+        mgr = handler.cc.manager
+        p = min(handler.dropped) if where == "dropped" else min(
+            set(range(model.n)) - handler.dropped)
+        row = [1] * model.n
+        handler.is_valid(row)
+        store = (mgr.node_count, len(mgr._cache))
+        for bad in (1.0, -1, model.sizes[p], "a"):
+            with pytest.raises(ValueError, match="out of range"):
+                handler.is_valid(row[:p] + [bad] + row[p + 1:])
+            assert (mgr.node_count, len(mgr._cache)) == store, bad
+
+    def test_true_is_answered_as_one(self):
+        # True is the index 1, so it shares 1's memo entry, whichever comes first.
+        model = load_model("synth20")
+        first, second = build_handler(model, "bdd-and"), build_handler(model, "bdd-and")
+        p = min(set(range(model.n)) - first.dropped)
+        rng = random.Random(7)
+        for _ in range(50):
+            row = [rng.randrange(size) if rng.random() < 0.3 else None for size in model.sizes]
+            row[p] = 1
+            with_true = row[:p] + [True] + row[p + 1:]
+            answer = first.is_valid(row)
+            assert second.is_valid(with_true) is answer
+            stores = [h.cc.manager.node_count for h in (first, second)]
+            assert first.is_valid(with_true) is answer and second.is_valid(row) is answer
+            assert [h.cc.manager.node_count for h in (first, second)] == stores
+
+
+class StoreWatch(CountingHandler):
+    """Counts and hashes the checks, and records the conjunction handler's
+    store size after each."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.sizes = []
+
+    def is_valid(self, assignment):
+        answer = super().is_valid(assignment)
+        self.sizes.append(self.inner.cc.manager.node_count)
+        return answer
+
+
+def test_conjunction_store_is_collected():
+    # chain200 at t=1 makes over half a million cube and conjunction nodes
+    # when nothing is freed; the store limit keeps the nodes made after set-up
+    # within AND_STORE_LIMIT plus one check's growth, and the collections
+    # change no answer and no check.
+    model = chain_model(200)
+    handler = build_handler(model, "bdd-and")
+    first = handler.cc.manager.node_count
+    watch = StoreWatch(handler)
+    suite = generate(model, 1, watch)
+    generated = watch.calls
+    up = CountingHandler(build_handler(model, "bdd-partial-up"))
+    assert suite.rows == generate(model, 1, up).rows
+    assert watch.calls == up.calls
+    assert watch.sha256.hexdigest() == up.sha256.hexdigest()
+    # Later checks, on the collected store, still agree with the traversal.
+    rng = random.Random(20)
+    rows = [[rng.randrange(3) if rng.random() < 0.05 else None for _ in range(model.n)]
+            for _ in range(2000)]
+    answers = [watch.is_valid(row) for row in rows]
+    assert 0 < sum(answers) < len(rows)
+    assert answers == [up.is_valid(row) for row in rows]
+    sizes = [first] + watch.sizes
+    steps = [after - before for before, after in zip(sizes, sizes[1:])]
+    assert min(steps[:generated]) < 0  # generate ran a collection
+    assert max(sizes) - first <= AND_STORE_LIMIT + max(steps)
 
 
 def test_setup_store_is_pinned(models_dir):
