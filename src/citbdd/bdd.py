@@ -16,6 +16,7 @@ independent.
 Nodes are never freed one at a time.  ``compact`` frees, between
 operations, every node made since a given handle that given roots do not
 reach; handles below that one are untouched, and the roots get new ones.
+``collect`` is the one rule that decides when the package calls it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from typing import Iterable, Iterator, Sequence
 
 FALSE = 0
 TRUE = 1
+
+# Garbage ``collect`` lets through on top of twice the survivors: the
+# set-up of small models never collects.
+COLLECT_FLOOR = 16384
 
 
 class Op(Enum):
@@ -49,6 +54,9 @@ class BddManager:
         self._high = [FALSE, TRUE]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._cache: dict[tuple, int] = {}
+        # The store's length after the last ``compact``: ``collect`` counts
+        # the survivors up to it.
+        self._kept = 2
 
     # -- node construction -------------------------------------------------
 
@@ -328,7 +336,27 @@ class BddManager:
         self._unique = dict(zip(zip(levels[2:], low[2:], high[2:]),
                                 range(2, len(levels))))
         self._cache = {}
+        self._kept = len(levels)
         return [remap.get(root, root) for root in roots]
+
+    def collect(self, base: int, roots: Sequence[int],
+                floor: int = COLLECT_FLOOR) -> list[int]:
+        """``compact(base, roots)`` once the garbage is worth a sweep, else
+        the roots, with the store and the computed table untouched.
+
+        The package's one collection rule.  The survivors are the handles
+        from ``base`` to where the last ``compact`` left the store, if that
+        is above ``base``; sweep once the handles past them outnumber twice
+        the survivors plus ``floor``.  A sweep then costs about what was
+        made since the last one, and a caller that makes at most ``floor``
+        nodes never collects.
+        """
+        # Not ``max``: a bdd-and check that misses its memo runs this, and
+        # the builtin call costs more than the rest of the rule.
+        kept = self._kept if self._kept > base else base
+        if len(self._level) - kept > 2 * (kept - base) + floor:
+            return self.compact(base, roots)
+        return list(roots)
 
     # -- inspection ---------------------------------------------------------
 

@@ -193,10 +193,12 @@ class CompiledConstraints:
 
 
 def compile_constraints(model: SutModel, enc: Encoding, mgr: BddManager) -> CompiledConstraints:
-    """Build the BDD accepting exactly the valid full test cases."""
+    """Build the BDD accepting exactly the valid full test cases, then offer
+    the terms to ``BddManager.collect`` with ``f`` as the only root."""
     if mgr.var_count != enc.total_bits:
         raise ValueError(f"manager has {mgr.var_count} variables, encoding needs "
                          f"{enc.total_bits}")
+    base = mgr.node_count + 2  # the first handle compiling makes
     terms = [_value_le(mgr, enc, pos, enc.sizes[pos] - 1)
              for pos in range(len(enc.order))]
     terms += [_translate(mgr, enc, c) for c in model.constraints]
@@ -205,7 +207,7 @@ def compile_constraints(model: SutModel, enc: Encoding, mgr: BddManager) -> Comp
     while len(terms) > 1:
         pairs = [mgr.apply(Op.AND, a, b) for a, b in zip(terms[::2], terms[1::2])]
         terms = pairs + terms[2 * len(pairs):]
-    f = terms[0] if terms else TRUE
+    f = mgr.collect(base, terms or (TRUE,))[0]
     return CompiledConstraints(manager=mgr, f=f, encoding=enc, model=model)
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product, starmap
-from operator import and_
+from operator import and_, index
 from typing import Optional, Sequence
 
 from .model import Assignment, SutModel
@@ -109,6 +109,18 @@ def _value_masks(rows: Sequence[Sequence[Optional[int]]], p: int,
     return masks
 
 
+def _strength(t: int, n: int) -> int:
+    """``t`` as an int, if it is an index, as ``operator.index`` reads one,
+    from 1 to ``n``: ``2.0`` and ``"2"`` are out of range like ``0``."""
+    try:
+        k = index(t)
+        if 1 <= k <= n:
+            return k
+    except TypeError:
+        pass
+    raise ValueError(f"strength {t!r} out of range for {n} parameters")
+
+
 def generate(model: SutModel, t: int, handler: ValidityHandler,
              fill_dashes: bool = False) -> TestSuite:
     """Generate a t-wise covering suite for ``model`` using ``handler``.
@@ -119,8 +131,7 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
     combination enumeration is lexicographic.
     """
     n = model.n
-    if not 1 <= t <= n:
-        raise ValueError(f"strength {t} out of range for {n} parameters")
+    t = _strength(t, n)
     sizes = model.sizes
     # Non-increasing domain size, ties by declaration order.
     order = sorted(range(n), key=lambda i: (-sizes[i], i))
@@ -286,8 +297,7 @@ def verify(model: SutModel, rows: Sequence[Sequence[Optional[int]]], t: int,
     valid ones in ``combinations`` and then ``product`` order.
     """
     n = model.n
-    if not 1 <= t <= n:
-        raise ValueError(f"strength {t} out of range for {n} parameters")
+    t = _strength(t, n)
     sizes = model.sizes
     report = VerifyReport(suite_size=len(rows))
 

@@ -12,9 +12,10 @@ Three interchangeable handlers implement the same contract:
   ``build_partial_bdd`` builds that BDD from the compiled constraints by
   one fused pass per parameter (``BddManager.extend_dash``), which adds
   the parameter's all-ones codeword wherever some value of the parameter
-  is valid.  Between passes it frees the nodes earlier passes rebuilt
-  and ``g`` no longer reaches (``BddManager.compact``), so set-up leaves
-  ``f``, ``g`` and at most a bounded amount of garbage in the store.
+  is valid.  After each pass it frees the nodes earlier passes rebuilt
+  and ``g`` no longer reaches, under ``BddManager.collect``'s rule, so
+  set-up leaves ``f``, ``g`` and at most a bounded amount of garbage in
+  the store.
 
 The check is ``handler.is_valid``, and each handler has one route through
 it.  The oracle validates the assignment with ``check_assignment`` and
@@ -30,14 +31,14 @@ makes the same nodes and computed-table entries as ``apply``.  A repeat
 would have made nothing: it would have found its cube in the unique table
 and ended at the computed-table entry for ``cube ∧ f``, the
 cross-operation memo of Brace, Rudell and Bryant (DAC 1990).  So the
-nodes and entries the checks leave are freed whenever more than
-``AND_STORE_LIMIT`` have piled up, and the store stays bounded however
-many checks a run makes.  The traversal handler reads ``g`` as a
-multi-valued diagram (Srinivasan, Kam, Malik and Brayton, ICCAD
-1990): its constructor follows the codes into a dense jump table per
-constrained parameter and keeps only those tables, so the set-up manager
-is freed when the constructor returns, and a check is one table step per
-constrained parameter.  A value is ``None`` or an index into its
+nodes and entries the checks leave are freed under
+``BddManager.collect``'s rule, with ``AND_STORE_LIMIT`` as its floor, and
+the store stays bounded however many checks a run makes.  The traversal
+handler reads ``g`` as a multi-valued diagram (Srinivasan, Kam, Malik and
+Brayton, ICCAD 1990): its constructor follows the codes into a dense
+jump table per constrained parameter and keeps only those tables, so the
+set-up manager is freed when the constructor returns, and a check is one
+table step per constrained parameter.  A value is ``None`` or an index into its
 parameter's domain, an index being what ``operator.index`` accepts
 (``True`` is 1, ``1.0`` is no index).  Both BDD handlers range check each
 value in the step that uses it, and send a value that breaks this rule
@@ -71,13 +72,10 @@ HANDLER_PARTIAL_UP = "bdd-partial-up"
 HANDLER_PARTIAL_DOWN = "bdd-partial-down"
 HANDLER_KINDS = (HANDLER_AND, HANDLER_PARTIAL_UP, HANDLER_PARTIAL_DOWN, HANDLER_ORACLE)
 
-# Garbage ``build_partial_bdd`` lets through between two collections on top
-# of twice the survivors: the builds of small models never collect.
-COLLECT_FLOOR = 16384
-
-# Nodes the conjunction checks may make after the handler is built before
-# the next check that misses its memo frees them: synth20 at t=3 ends its
-# run with 44,803 nodes in the store and never collects.
+# ``BddManager.collect``'s floor for the conjunction checks, which keep no
+# survivors: nodes they may make after the handler is built before the next
+# check that misses its memo frees them.  synth20 at t=3 ends its run with
+# 44,803 nodes in the store and never collects.
 AND_STORE_LIMIT = 1 << 16
 
 
@@ -183,12 +181,11 @@ class ConjunctionHandler(ValidityHandler):
     A memo hit cannot change the store: between two collections, repeating
     the check would find every cube node in the unique table and the
     ``(and, cube, f)`` entry in the computed table, and make nothing.  The
-    nodes and entries the checks leave only speed up later misses, so once
-    more than ``AND_STORE_LIMIT`` nodes were made after the constructor, the
-    next miss first frees them all, computed table included
-    (``BddManager.compact`` with no roots).  ``f`` and every node made
-    before the handler keep their handles; a node made in ``cc.manager``
-    after it belongs to the handler.
+    nodes and entries the checks leave only speed up later misses, so a
+    miss first offers them all to ``BddManager.collect`` with no roots and
+    ``AND_STORE_LIMIT`` as the floor.  ``f`` and every node made before
+    the handler keep their handles; a node made in ``cc.manager`` after it
+    belongs to the handler.
     """
 
     name = HANDLER_AND
@@ -212,10 +209,8 @@ class ConjunctionHandler(ValidityHandler):
         self._steps = tuple(steps)
         self._literals = tuple(literals)
         self._answers: dict[tuple[int, ...], bool] = {}
-        # The first handle a check can make, and the store size past which
-        # the next miss collects.
+        # The first handle a check can make.
         self._base = cc.manager.node_count + 2
-        self._full = cc.manager.node_count + AND_STORE_LIMIT
 
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
         cc = self.cc
@@ -243,8 +238,7 @@ class ConjunctionHandler(ValidityHandler):
         if answer is not None:
             return answer
         mgr = cc.manager
-        if mgr.node_count > self._full:
-            mgr.compact(self._base, ())
+        mgr.collect(self._base, (), AND_STORE_LIMIT)
         mk = mgr._mk
         literals = self._literals
         cube = TRUE
@@ -288,11 +282,9 @@ def build_partial_bdd(cc: CompiledConstraints,
     function, but the cost of the passes can differ.
 
     A pass leaves the nodes it rebuilt behind as garbage.  The build
-    therefore frees its own: once the nodes made since the last collection
-    outnumber twice the survivors plus ``COLLECT_FLOOR``, it keeps only
-    what ``g`` reaches among the nodes it made (``BddManager.compact``).
-    Nodes made before the build, ``cc.f`` among them, keep their handles,
-    and a build that makes few nodes never collects.
+    therefore frees its own: after each pass it offers the nodes it made
+    to ``BddManager.collect`` with ``g`` as the root.  Nodes made before
+    the build, ``cc.f`` among them, keep their handles.
     """
     if cc.encoding.mode is not EncodingMode.WITH_DASH:
         raise ValueError("the partial-test-case BDD needs the WITH_DASH encoding")
@@ -301,16 +293,11 @@ def build_partial_bdd(cc: CompiledConstraints,
     positions = range(len(enc.order))
     if quant_order is QuantOrder.UP:
         positions = reversed(positions)
-    start = mgr.node_count  # nodes made before the passes
-    kept = start  # nodes left by the last collection
+    # The passes' first handle; ``cc.f`` lies below it and needs no root.
+    base = mgr.node_count + 2
     g = cc.f
     for pos in positions:
-        g = mgr.extend_dash(enc.offsets[pos], enc.widths[pos], g)
-        if mgr.node_count - kept > 2 * (kept - start) + COLLECT_FLOOR:
-            # Handles 0 and 1 are the terminals, so the passes' first node
-            # is ``start + 2``; ``cc.f`` lies below it and needs no root.
-            g = mgr.compact(start + 2, (g,))[0]
-            kept = mgr.node_count
+        g = mgr.collect(base, (mgr.extend_dash(enc.offsets[pos], enc.widths[pos], g),))[0]
     return PartialValidityBdd(manager=mgr, g=g, encoding=enc,
                               quant_order=quant_order, model=cc.model)
 

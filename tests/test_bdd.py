@@ -1,5 +1,6 @@
 """Tests for the BDD engine: semantics, canonicity, reduction, errors."""
 
+import copy
 import gc
 import hashlib
 import random
@@ -452,6 +453,61 @@ class TestCompact:
                 mgr.compact(base, [x])
         with pytest.raises(BddError, match="unknown node handle"):
             mgr.compact(2, [99])
+
+
+class TestCollect:
+    """``collect`` calls ``compact`` once the handles past the last
+    collection's survivors outnumber twice the survivors plus ``floor``."""
+
+    FLOOR = 4
+
+    def _store(self):
+        """A manager holding ``x0 ∧ x1``, which leaves a computed-table
+        entry, below ``base``; ``mk_var`` of an unused variable then makes
+        one node.  Returns the manager, ``x0 ∧ x1`` and ``base``."""
+        mgr = BddManager(32)
+        older = mgr.apply(Op.AND, mgr.mk_var(0), mgr.mk_var(1))
+        return mgr, older, mgr.node_count + 2
+
+    def test_below_the_rule_nothing_changes(self):
+        mgr, _, base = self._store()
+        made = [mgr.mk_var(i) for i in range(2, 2 + self.FLOOR)]
+        nodes, cache = list(mgr.nodes()), dict(mgr._cache)
+        assert cache
+        assert mgr.collect(base, made[:2], self.FLOOR) == made[:2]
+        assert list(mgr.nodes()) == nodes
+        assert mgr._cache == cache
+
+    def test_past_the_rule_it_compacts(self):
+        mgr, _, base = self._store()
+        made = [mgr.mk_var(i) for i in range(2, 3 + self.FLOOR)]
+        twin = copy.deepcopy(mgr)
+        roots = [made[-1], made[1]]
+        assert mgr.collect(base, roots, self.FLOOR) == twin.compact(base, roots)
+        assert list(mgr.nodes()) == list(twin.nodes())
+        assert mgr._cache == {}
+
+    def test_a_second_call_waits_for_twice_the_survivors(self):
+        mgr, _, base = self._store()
+        made = [mgr.mk_var(i) for i in range(2, 3 + self.FLOOR)]
+        roots = mgr.collect(base, made[:2], self.FLOOR)
+        assert mgr.node_count == base  # the base - 2 older nodes and two survivors
+        fresh = iter(range(3 + self.FLOOR, 32))
+        for made in range(1, 2 * len(roots) + self.FLOOR + 1):
+            mgr.mk_var(next(fresh))
+            assert mgr.collect(base, roots, self.FLOOR) == roots
+            assert mgr.node_count == base + made
+        mgr.mk_var(next(fresh))
+        assert mgr.collect(base, roots, self.FLOOR) == roots
+        assert mgr.node_count == base
+
+    def test_no_roots_leave_only_the_nodes_below_base(self):
+        mgr, older, base = self._store()
+        for i in range(2, 3 + self.FLOOR):
+            mgr.mk_var(i)
+        assert mgr.collect(base, (), self.FLOOR) == []
+        assert mgr.node_count == base - 2
+        assert mgr.count_solutions(older) == 1 << 30
 
 
 class TestLimitsAndDebug:

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from citbdd.bdd import TRUE, BddManager, Op
+from citbdd.bdd import COLLECT_FLOOR, TRUE, BddManager, Op
 from citbdd.encode import (
     EncodingMode,
     _translate, _value_le,
@@ -23,6 +23,7 @@ from citbdd.validity import (
 
 from model_gen import random_model
 from test_bdd import build_printer_f, printer_formula
+from test_validity import canonical
 from formula_oracle import all_bits
 from conftest import MODELS_DIR, load_model
 
@@ -385,6 +386,46 @@ class TestChainScale:
             for c in chain150.constraints:
                 linear = mgr.apply(Op.AND, linear, _translate(mgr, enc, c))
             assert f == linear, mode
+
+
+class Uncollected(BddManager):
+    """A manager that never collects, so a compile in it keeps every term."""
+
+    def collect(self, base, roots, floor=COLLECT_FLOOR):
+        return list(roots)
+
+
+class TestCompileCollects:
+    """A compile that makes more than ``COLLECT_FLOOR`` nodes frees its
+    terms: chain400 makes 30,197 nodes for a 2,394-node ``f``."""
+
+    @pytest.fixture(scope="class")
+    def chain400(self):
+        return parse_model(chain_text(400))
+
+    def test_store_is_f(self, chain400):
+        for mode in EncodingMode:
+            enc = make_encoding(chain400, mode)
+            cc = compile_constraints(chain400, enc, BddManager(enc.total_bits))
+            mgr = cc.manager
+            assert mgr.node_count == len(mgr.function_nodes(cc.f)), mode
+            bare = compile_constraints(chain400, enc, Uncollected(enc.total_bits))
+            assert bare.manager.node_count > mgr.node_count + COLLECT_FLOOR
+            assert canonical(mgr, cc.f) == canonical(bare.manager, bare.f)
+
+    def test_older_nodes_keep_their_handles(self, chain400):
+        enc = make_encoding(chain400, EncodingMode.FULL)
+        mgr = BddManager(enc.total_bits)
+        older = mgr.apply(Op.OR, mgr.mk_var(0), mgr.mk_var(enc.total_bits - 1))
+        before = list(mgr.nodes())
+        base = mgr.node_count + 2
+        f = compile_constraints(chain400, enc, mgr).f
+        assert list(mgr.nodes())[:base - 2] == before
+        assert mgr.node_count == base - 2 + sum(1 for node in mgr.function_nodes(f)
+                                                if node >= base)
+        assert mgr.count_solutions(older) == 3 << (enc.total_bits - 2)
+        bare = compile_constraints(chain400, enc, Uncollected(enc.total_bits))
+        assert canonical(mgr, f) == canonical(bare.manager, bare.f)
 
 
 def deep_tree(levels):

@@ -123,10 +123,13 @@ class TestGenerateEdges:
 
     def test_strength_out_of_range(self, printer):
         handler = build_handler(printer, "oracle")
-        with pytest.raises(ValueError, match="out of range"):
-            generate(printer, 4, handler)
-        with pytest.raises(ValueError, match="out of range"):
-            generate(printer, 0, handler)
+        # A strength is an index, as operator.index reads one: a float, a
+        # string or None is rejected like a number out of range.
+        for t in (4, 0, 2.0, "2", None):
+            with pytest.raises(ValueError, match="out of range"):
+                generate(printer, t, handler)
+            with pytest.raises(ValueError, match="out of range"):
+                verify(printer, KNOWN_GOOD_PRINTER_SUITE, t, handler)
 
     def test_unsatisfiable_model(self):
         m = parse_model("[PARAMETERS]\na: x, y\nb: x, y\n[CONSTRAINTS]\na = x && a = y\n")

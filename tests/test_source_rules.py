@@ -296,3 +296,24 @@ def test_engine_privates_read_in_two_places():
              for where, read in private_reads(ast.parse(path.read_text(encoding="utf-8")),
                                               names).items()}
     assert found == ENGINE_READS
+
+
+# The rule's own check: a call of ``compact`` on any object is placed by
+# class and function, and a call of ``collect`` is not a call of it.
+COMPACTS = ("class Manager:\n"
+            "    def collect(self, base, roots):\n"
+            "        return self.compact(base, roots)\n"
+            "def build(mgr):\n"
+            "    mgr.compact(2, ())\n"
+            "    return mgr.collect(2, ())\n")
+
+
+def test_compact_is_called_only_by_collect():
+    # ``BddManager.collect`` holds the one rule that decides when to
+    # collect, so no other code calls ``compact``.
+    assert private_reads(ast.parse(COMPACTS), {"compact"}) == {
+        "Manager.collect": {"compact"}, "build": {"compact"}}
+    found = {(path.name, where) for path in SOURCES
+             for where in private_reads(ast.parse(path.read_text(encoding="utf-8")),
+                                        {"compact"})}
+    assert found == {("bdd.py", "BddManager.collect")}

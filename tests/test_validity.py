@@ -7,12 +7,12 @@ from itertools import product
 
 import pytest
 
-from citbdd.bdd import FALSE, TRUE, BddManager
+from citbdd.bdd import COLLECT_FLOOR, FALSE, TRUE, BddManager
 from citbdd.encode import EncodingMode, compile_constraints, encode_full, make_encoding
 from citbdd.ipog import generate
 from citbdd.model import eval_constraints, parse_model
 from citbdd.validity import (
-    AND_STORE_LIMIT, COLLECT_FLOOR, HANDLER_KINDS, ConjunctionHandler, OracleHandler,
+    AND_STORE_LIMIT, HANDLER_KINDS, ConjunctionHandler, OracleHandler,
     QuantOrder, TraversalHandler, build_handler, build_partial_bdd,
 )
 
