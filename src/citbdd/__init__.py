@@ -11,7 +11,7 @@ from .bdd import FALSE, TRUE, BddError, BddManager, Op
 from .encode import (
     CompiledConstraints, Encoding, EncodingMode,
     compile_constraints, constrained_params, encode_full, make_encoding,
-    order_parameters,
+    order_parameters, tree_order,
 )
 from .ipog import TestSuite, VerifyReport, generate, verify
 from .model import (

@@ -14,9 +14,16 @@ both BDD validity handlers read it.  Two encodings exist:
   codeword of each parameter for the unspecified marker.
 
 Parameters not occurring in any constraint never influence validity and are
-dropped from the encoding.  The encoded parameter order defaults to a static
-heuristic that keeps parameters close when they appear close together in
-the constraint parse trees, which tends to keep the compiled BDDs small.
+dropped from the encoding.  The encoded parameter order is static, and
+small compiled BDDs need related parameters close together in it.
+``tree_order`` places parameters close when they appear close together in
+the constraint parse trees; ``order_parameters``, the default, starts FORCE
+from that order: it reads each constraint as a hyperedge on its parameters
+and, round by round, moves every parameter to the mean centre of its
+constraints, keeping the order whose constraints span the fewest positions.
+On a 60-parameter synth-style model this cuts ``f`` from 2,825 nodes to
+1,098, and a 200-parameter one that does not compile in 1 GB under the
+parse-tree order alone compiles in a few tenths of a second.
 
 ``compile_constraints`` builds the function accepting exactly the encodings
 of the constraint-satisfying full test cases: the conjunction of a per
@@ -29,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 from typing import Optional, Sequence, Union
 
 from .bdd import FALSE, TRUE, BddManager, Op
@@ -64,14 +70,15 @@ def constrained_params(model: SutModel) -> frozenset[int]:
     return frozenset(p for c in model.constraints for p in occurrences(c))
 
 
-def order_parameters(model: SutModel) -> tuple[int, ...]:
+def tree_order(model: SutModel) -> tuple[int, ...]:
     """Order the constrained parameters by mutual parse-tree distance.
 
     The first parameter minimizes the sum of distances to all other
     constrained parameters; each following pick minimizes the sum of
     distances to those already selected.  Ties break toward the lower
     declaration index.  Parameters selected earlier receive lower variable
-    indices (nearest the BDD root).
+    indices (nearest the BDD root).  ``order_parameters`` starts FORCE
+    from this order.
     """
     # The trees hang from a virtual root, and a relation's operands are
     # leaves one step below it.  Each subtree folds to a map from its
@@ -106,31 +113,96 @@ def order_parameters(model: SutModel) -> tuple[int, ...]:
     if len(params) <= 1:
         return tuple(params)
     # Occurrences in different trees are their depths' sum apart, through
-    # the virtual root, and two in one tree are nearer than that.  So the
-    # sum of two parameters' shallowest depths is either their nearest
-    # cross-tree distance or beaten by a same-tree pair.
-    dist = {(p, q): depth[p] + depth[q] for p, q in permutations(params, 2)}
-    for key, gap in near.items():
-        dist[key] = min(dist[key], gap)
-    first = min(params, key=lambda p: (sum(dist[p, q] for q in params if q != p), p))
+    # the virtual root, and two in one tree may be nearer than that.  So a
+    # pair's distance is the sum of its depths less its saving, which only
+    # pairs that meet in one tree have.
+    save: dict[int, dict[int, int]] = {p: {} for p in params}
+    for (p, q), gap in near.items():
+        if gap < depth[p] + depth[q]:
+            save[p][q] = depth[p] + depth[q] - gap
+    # A parameter's distances to all the others sum to its depth once per
+    # other parameter, plus their depths, less its savings.
+    total = sum(depth.values())
+    first = min(params, key=lambda p: ((len(params) - 2) * depth[p] + total
+                                       - sum(save[p].values()), p))
     chosen = [first]
     # Running sum of each remaining parameter's distances to those chosen.
-    acc = {p: dist[p, first] for p in params if p != first}
+    acc = {p: depth[p] + depth[first] - save[first].get(p, 0) for p in params if p != first}
     while acc:
         nxt = min(acc, key=lambda p: (acc[p], p))
         chosen.append(nxt)
         del acc[nxt]
+        dn = depth[nxt]
         for p in acc:
-            acc[p] += dist[p, nxt]
+            acc[p] += depth[p] + dn
+        for q, s in save[nxt].items():
+            if q in acc:
+                acc[q] -= s
     return tuple(chosen)
+
+
+# Rounds FORCE runs at most when no round gives back the order before it.
+FORCE_ROUNDS = 50
+
+
+def order_parameters(model: SutModel) -> tuple[int, ...]:
+    """Order the constrained parameters: ``tree_order`` refined by FORCE.
+
+    FORCE (Aloul, Markov and Sakallah, GLSVLSI 2003) reads each constraint
+    over two or more parameters as a hyperedge on them.  A round puts each
+    edge's centre at the mean position of its parameters, moves each
+    parameter to the mean centre of its edges (one in no edge stays where it
+    is) and re-sorts by that target, ties kept in the current order.  The
+    rounds stop when one gives back the order before it, or after
+    ``FORCE_ROUNDS``; the result is the order, seed included, with the least
+    total span, the sum over the edges of their last position less their
+    first.  A later order replaces it only by a strictly smaller span.
+    """
+    seed = tree_order(model)
+    index = {p: i for i, p in enumerate(seed)}
+    # Parameters are numbered by their seed position; pos[v] is v's place.
+    edges = [sorted({index[p] for p in occurrences(c)}) for c in model.constraints]
+    edges = [e for e in edges if len(e) > 1]
+    if not edges:
+        return seed
+    k = len(seed)
+    incident: list[list[int]] = [[] for _ in range(k)]
+    for i, e in enumerate(edges):
+        for v in e:
+            incident[v].append(i)
+    order, pos = list(range(k)), list(range(k))
+
+    def span() -> int:
+        total = 0
+        for e in edges:
+            places = [pos[v] for v in e]
+            total += max(places) - min(places)
+        return total
+
+    best, best_span = order, span()
+    for _ in range(FORCE_ROUNDS):
+        centre = [sum([pos[v] for v in e]) / len(e) for e in edges]
+        target = [sum([centre[i] for i in inc]) / len(inc) if inc else pos[v]
+                  for v, inc in enumerate(incident)]
+        # A stable sort of the current order: ties keep their places.
+        moved = sorted(order, key=target.__getitem__)
+        if moved == order:
+            break
+        order = moved
+        for place, v in enumerate(order):
+            pos[v] = place
+        total = span()
+        if total < best_span:
+            best, best_span = order, total
+    return tuple(seed[v] for v in best)
 
 
 def make_encoding(model: SutModel, mode: EncodingMode,
                   order: Optional[Sequence[int]] = None) -> Encoding:
     """Lay out bit ranges for the constrained parameters of ``model``.
 
-    ``order`` overrides the default distance-heuristic parameter order; it
-    must be a permutation of the constrained parameters.
+    ``order`` overrides the default, ``order_parameters``; it must be a
+    permutation of the constrained parameters.
     """
     if order is None:
         order = order_parameters(model)

@@ -67,3 +67,42 @@ def chain_model(n: int) -> SutModel:
     return SutModel(params, tuple(
         Connective(CompareParams(k, "=", k + 1), "||", Compare(k, "=", 0))
         for k in range(n - 1)))
+
+
+def synth_model(rng: random.Random, n_params: int, n_constrained: int,
+                n_constraints: int, window: int) -> SutModel:
+    """A synth-style model, after ``models/synth20.model``: three tenths of
+    the parameters have four values, three tenths two and the rest three,
+    and each constraint is an implication over two or three of the
+    constrained parameters.  Those stand on a ring in declaration order,
+    constraint ``k`` starts an even step further round it, and it relates
+    parameters fewer than ``window`` places apart."""
+    fours = twos = round(0.3 * n_params)
+    sizes = [4] * fours + [2] * twos + [3] * (n_params - fours - twos)
+    rng.shuffle(sizes)
+    params = tuple(Parameter(f"p{i:02d}", tuple(str(v) for v in range(size)))
+                   for i, size in enumerate(sizes))
+    ring = sorted(rng.sample(range(n_params), n_constrained))
+    constraints = []
+    for k in range(n_constraints):
+        start = k * n_constrained // n_constraints
+        near = [ring[(start + j) % n_constrained] for j in range(window)]
+        a, b, c = [near[0]] + rng.sample(near[1:], 2)
+        shape = rng.randrange(5)
+        if shape == 0:
+            premise = Compare(a, "=", rng.randrange(sizes[a]))
+            conclusion = Compare(b, "!=", rng.randrange(sizes[b]))
+        elif shape == 1:
+            premise = Compare(a, ">=", sizes[a] - 1)
+            conclusion = Compare(b, "<=", sizes[b] - 2)
+        elif shape == 2:
+            premise = Connective(Compare(a, "=", rng.randrange(sizes[a])), "&&",
+                                 Compare(b, "=", rng.randrange(sizes[b])))
+            conclusion = Compare(c, "!=", rng.randrange(sizes[c]))
+        elif shape == 3:
+            premise = CompareParams(a, "=", b)
+            conclusion = Compare(c, "!=", rng.randrange(sizes[c]))
+        else:
+            premise, conclusion = Compare(a, "<", 1), Compare(b, ">=", 1)
+        constraints.append(Connective(premise, "=>", conclusion))
+    return SutModel(params, tuple(constraints))

@@ -1,27 +1,31 @@
 """Tests for parameter encodings, variable ordering, and constraint compilation."""
 
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import citbdd
 from citbdd.bdd import COLLECT_FLOOR, TRUE, BddManager, Op
 from citbdd.encode import (
     EncodingMode,
     _translate, _value_le,
     compile_constraints, constrained_params, encode_full, make_encoding,
-    order_parameters,
+    order_parameters, tree_order,
 )
 from citbdd.ipog import generate, verify
 from citbdd.model import (
     Compare, Connective, Not, Parameter, SutModel, eval_constraints, format_constraint,
-    parse_model,
+    occurrences, parse_model,
 )
 from citbdd.validity import (
     HANDLER_AND, HANDLER_ORACLE, HANDLER_PARTIAL_DOWN, HANDLER_PARTIAL_UP, build_handler,
 )
 
-from model_gen import random_model
+from model_gen import random_model, synth_model
 from test_bdd import build_printer_f, printer_formula
 from test_validity import canonical
 from formula_oracle import all_bits
@@ -137,15 +141,15 @@ def _greedy_order(params, dist):
     return tuple(chosen)
 
 
-class TestOrderParameters:
+class TestTreeOrder:
     def test_printer_order(self, printer):
         # The middle parameter appears in both constraints, so it minimizes
         # the distance sum and comes first.
-        assert order_parameters(printer) == (1, 0, 2)
+        assert tree_order(printer) == (1, 0, 2)
 
     def test_two_parameter_constraint_ties_to_declaration(self):
         m = parse_model("[PARAMETERS]\nx: 0, 1\ny: 0, 1\n[CONSTRAINTS]\nx = 0 => y = 1\n")
-        assert order_parameters(m) == (0, 1)
+        assert tree_order(m) == (0, 1)
 
     def test_disjoint_constraints_group(self):
         m = parse_model("""
@@ -158,7 +162,7 @@ class TestOrderParameters:
             a = 0 => b = 1
             c = 0 => d = 1
         """)
-        order = order_parameters(m)
+        order = tree_order(m)
         # Parameters of one constraint stay adjacent; no interleaving.
         assert set(order[:2]) in ({0, 1}, {2, 3})
         assert set(order[2:]) in ({0, 1}, {2, 3})
@@ -169,8 +173,7 @@ class TestOrderParameters:
             m = random_model(rng)
             if not constrained_params(m):
                 continue
-            assert order_parameters(m) == _greedy_order(constrained_params(m),
-                                                        _bfs_distances(m))
+            assert tree_order(m) == _greedy_order(constrained_params(m), _bfs_distances(m))
 
     def test_long_parsed_line(self):
         # 900 relations joined by ``&&`` over 50 parameters: a tree 900
@@ -180,10 +183,103 @@ class TestOrderParameters:
         m = parse_model("[PARAMETERS]\n" + "".join(f"p{i}: a, b\n" for i in range(50))
                         + "[CONSTRAINTS]\n"
                         + " && ".join(f"p{7 * i % 50} != b" for i in range(900)) + "\n")
-        assert order_parameters(m) == (
+        assert tree_order(m) == (
             0, 7, 14, 21, 28, 35, 42, 49, 6, 13, 20, 27, 34, 41, 48, 5, 12, 19, 26, 33,
             40, 47, 4, 11, 18, 25, 32, 39, 43, 36, 29, 22, 15, 8, 1, 44, 37, 30, 23, 16,
             9, 2, 45, 38, 31, 24, 17, 10, 3, 46)
+
+
+def total_span(model, order):
+    """The sum over the constraints of the distance in ``order`` between
+    the first and the last of their parameters."""
+    place = {p: i for i, p in enumerate(order)}
+    total = 0
+    for c in model.constraints:
+        places = [place[p] for p in occurrences(c)]
+        total += max(places) - min(places)
+    return total
+
+
+def order_models():
+    """The shipped models and 200 random ones of up to ten parameters."""
+    models = [load_model(path.stem) for path in sorted(MODELS_DIR.glob("*.model"))]
+    rng = random.Random(2003)
+    return models + [random_model(rng, max_params=10) for _ in range(200)]
+
+
+class TestOrderParameters:
+    """``order_parameters`` is ``tree_order`` refined by FORCE."""
+
+    def test_printer_order(self, printer):
+        # From the seed (1, 0, 2), the edge {0, 1} centres at 0.5 and the
+        # edge {1, 2} at 1, so the targets are 0.5, 0.75 and 1: the span of
+        # the two constraints falls from 3 to 2.
+        assert total_span(printer, tree_order(printer)) == 3
+        assert order_parameters(printer) == (0, 1, 2)
+        assert total_span(printer, (0, 1, 2)) == 2
+
+    def test_permutation_of_constrained(self):
+        for m in order_models():
+            order = order_parameters(m)
+            assert sorted(order) == sorted(constrained_params(m))
+
+    def test_deterministic(self):
+        for m in order_models():
+            again = SutModel(m.params, m.constraints)
+            assert order_parameters(m) == order_parameters(m) == order_parameters(again)
+
+    def test_span_never_above_seed(self):
+        for m in order_models():
+            assert total_span(m, order_parameters(m)) <= total_span(m, tree_order(m))
+
+    def test_one_constraint_keeps_the_seed(self):
+        # Every parameter of a single constraint moves to its one centre,
+        # so the first round gives back the seed.
+        m = parse_model("[PARAMETERS]\n" + "".join(f"p{i}: a, b\n" for i in range(12))
+                        + "[CONSTRAINTS]\n"
+                        + " && ".join(f"p{5 * i % 12} != b" for i in range(40)) + "\n")
+        assert order_parameters(m) == tree_order(m)
+
+    def test_synth60_span_and_f_shrink(self):
+        # On a model of scale60's shape FORCE cuts the span from 232 to 129
+        # and FULL f sevenfold.
+        m = synth_model(random.Random(2), 60, 40, 30, 14)
+        sizes = {}
+        for name, order in (("tree", tree_order(m)), ("force", order_parameters(m))):
+            enc = make_encoding(m, EncodingMode.FULL, order)
+            cc = compile_constraints(m, enc, BddManager(enc.total_bits))
+            sizes[name] = (total_span(m, order), len(cc.manager.function_nodes(cc.f)))
+        assert sizes == {"tree": (232, 9630), "force": (129, 1331)}
+
+
+# A child that, once its imports are done, limits its own address space to
+# 1 GB and compiles synth200-shaped models under both encodings in the
+# default order: an allocation past the limit fails with a MemoryError.
+SCALE_CHILD = """\
+import random, resource, sys
+sys.path[:0] = sys.argv[1:3]
+from citbdd import BddManager, EncodingMode, compile_constraints, make_encoding
+from model_gen import synth_model
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+for seed in (1, 2, 3):
+    model = synth_model(random.Random(seed), 200, 133, 100, 14)
+    for mode in EncodingMode:
+        enc = make_encoding(model, mode)
+        cc = compile_constraints(model, enc, BddManager(enc.total_bits))
+        print(seed, mode.value, cc.manager.node_count)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_synth200_compiles_in_1gb():
+    # Under the parse-tree order alone, seed 2's FULL compile runs out of
+    # 1.5 GB; refined by FORCE, its f has 7,182 nodes.
+    src = Path(citbdd.__file__).resolve().parent.parent
+    tests = Path(__file__).resolve().parent
+    child = subprocess.run([sys.executable, "-c", SCALE_CHILD, str(src), str(tests)],
+                           capture_output=True, text=True, timeout=300)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert len(child.stdout.splitlines()) == 6
 
 
 class TestEncodingLayout:
@@ -371,7 +467,7 @@ class TestChainScale:
         return parse_model(chain_text(150))
 
     def test_order_matches_bfs_graph_oracle(self, chain150):
-        assert order_parameters(chain150) == _greedy_order(
+        assert tree_order(chain150) == _greedy_order(
             constrained_params(chain150), _bfs_distances(chain150))
 
     def test_balanced_f_equals_linear_fold(self, chain150):
@@ -397,7 +493,7 @@ class Uncollected(BddManager):
 
 class TestCompileCollects:
     """A compile that makes more than ``COLLECT_FLOOR`` nodes frees its
-    terms: chain400 makes 30,197 nodes for a 2,394-node ``f``."""
+    terms: chain400 makes 30,214 nodes for a 2,396-node ``f``."""
 
     @pytest.fixture(scope="class")
     def chain400(self):

@@ -126,12 +126,12 @@ class TestConjunctionCheck:
         handler = build_handler(model, "bdd-and")
         generate(model, 3, handler)
         mgr = handler.cc.manager
-        assert mgr.node_count == 44_803
+        assert mgr.node_count == 40_738
         assert hashlib.sha256(repr(list(mgr.nodes())).encode("ascii")).hexdigest() == \
-            "91c71c7d0b03e0ba0bb486c54ee9550f427371457f1d5aac83794d45d0235bf8"
-        assert len(mgr._cache) == 75_057
+            "56da276d077d48bd1e17b6cfe19675637e78d57fbaf1e583234a2dab89b9dfc8"
+        assert len(mgr._cache) == 77_630
         assert hashlib.sha256(repr(list(mgr._cache.items())).encode("ascii")).hexdigest() == \
-            "3c038756b1ef350a4d2669bbb62030684d3452d29c602c6df3a377b477c238fd"
+            "4d028db10e14feb53e9c5594f66fb23b909a91af4ea1edb7fdf839aa5a26a404"
 
     def test_rejected_assignment_makes_no_node(self):
         # Every value is range checked before the cube's first node is made,
@@ -263,7 +263,7 @@ def test_setup_store_is_pinned(models_dir):
             digest.update(repr((path.stem, mode.value, list(mgr.nodes()),
                                 list(mgr._cache.items()))).encode("ascii"))
     assert digest.hexdigest() == \
-        "03c91304eed3917b760d272e0d96930c81483a59e0392d6b47081e968a5b2ee1"
+        "bc66310f35e15edf1e8903d2e5970c1fccd9a023a62b05204d453e7c68b17ad1"
 
 
 class TestPartialBdd:
