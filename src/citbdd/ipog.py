@@ -9,22 +9,30 @@ parameter appends one row per valid combination of the first t.  Every
 candidate row is validity-checked through the supplied handler's
 ``is_valid``, so rows never violate the model constraints.
 
-Uncovered combinations are kept as one set of integer keys per value of
-the new parameter.  A key stands for t-1 placed parameters and their
-values: the parameters' positions in placement order folded with radix
-``n``, then their values folded with radix ``max(sizes)``, so the numeric
-order of the keys is the order in which ``combinations`` and ``product``
-enumerate them.  Horizontal growth builds the set of a row's own keys once,
-as sums over per-slot lists of ints, and counts what each candidate value
-covers as the size of its intersection with that value's set.
+Uncovered combinations are kept as one Python int per value of the new
+parameter, with bit ``key`` set while that combination is uncovered, after
+the bitmap representation of IPOG-D (Lei, Kacker, Kuhn, Okun & Lawrence,
+STVR 2008).  A key stands for t-1 placed parameters and their values: the
+rank of their placement positions among the (t-1)-subsets of the placed
+parameters, then their values folded with radix ``max(sizes)``, so the
+order of the bits is the order in which ``combinations`` and ``product``
+enumerate the combinations.  The rank is a sum of one term per slot, so
+horizontal growth builds the int of a row's own keys with O(t * idx)
+big-int operations: at t=2 it sets one bit per specified position, and
+above that it walks the row's positions downward and shifts the keys'
+later slots, gathered so far, into place behind each one.  A candidate
+value covers ``(pending[v] & seen).bit_count()`` combinations, and the
+winner's are XORed out of its int.
 
-Vertical growth reads the suite through row bitmasks: for each placed
-parameter one Python int per value, bit ``i`` set when row ``i`` holds that
-value, and one for the rows where it is unspecified.  A combination is
-covered when the AND of its value masks is non-zero, and the rows it can
-merge into are the AND of its ``value | unspecified`` masks, tried from the
-lowest bit up, which is row order.  Vertical growth keeps the masks in step
-as it fills positions and appends rows.
+Vertical growth takes the leftover combinations as the set bits of the OR
+of those ints, lowest first, which is enumeration order.  It reads the
+suite through row bitmasks: for each placed parameter one Python int per
+value, bit ``i`` set when row ``i`` holds that value, and one for the rows
+where it is unspecified.  A combination is covered when the AND of its
+value masks is non-zero, and the rows it can merge into are the AND of its
+``value | unspecified`` masks, tried from the lowest bit up, which is row
+order.  Vertical growth keeps the masks in step as it fills positions and
+appends rows.
 
 Rows may keep unspecified positions; ``fill_dashes`` completes them with
 the smallest values that keep each row valid.
@@ -45,13 +53,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product, starmap
+from math import comb
 from operator import and_, index
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .model import Assignment, SutModel
 from .validity import ValidityHandler
 
 Combo = tuple[tuple[int, ...], tuple[int, ...]]  # (parameter indices, values)
+
+_ONE = ord("1")  # a set bit in the b"0"/b"1" strings that build key masks
 
 
 @dataclass
@@ -109,6 +120,16 @@ def _value_masks(rows: Sequence[Sequence[Optional[int]]], p: int,
     return masks
 
 
+def _set_bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first, read off its binary string
+    in one pass rather than by one big-int operation per bit."""
+    bits = bin(mask)[:1:-1]  # bit i is bits[i]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
+
+
 def _strength(t: int, n: int) -> int:
     """``t`` as an int, if it is an index, as ``operator.index`` reads one,
     from 1 to ``n``: ``2.0`` and ``"2"`` are out of range like ``0``."""
@@ -155,92 +176,124 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
     rows: list[list[Optional[int]]] = []
     masks = {p: _value_masks(rows, p, sizes[p]) for p in order[:t - 1]}
 
-    # Key of a combination of t-1 placed parameters: their positions in
-    # placement order folded with radix n, then their values with radix
-    # ``radix``, so keys sort in enumeration order.  Slot s of the
-    # combination adds offsets[s][j] for position j and w * value_weight[s]
-    # for value w.
+    # Key of a combination of t-1 placed parameters: the rank of their
+    # positions among the (t-1)-subsets of the placed ones, in the order
+    # ``combinations`` makes them, then their values folded with radix
+    # ``radix``, in the order ``product`` makes them.  So keys sort in
+    # enumeration order, and a key's bit in a Python int wastes no space on
+    # position tuples that are not subsets.  Slot s of a combination adds
+    # offsets[s][j] for position j and w * value_weight[s] for value w.
+    # At t=2 a key is j * radix + w, so the binary string of a row's keys
+    # is one chunk of ``radix`` digits per position, the highest position
+    # first, with a 1 at value w.
     radix = max(sizes)
     value_span = radix ** (t - 1)
     value_weight = [radix ** (t - 2 - s) for s in range(t - 1)]
-    offsets = [[j * n ** (t - 2 - s) * value_span for j in range(n)]
-               for s in range(t - 1)]
+    chunks = {w: b"0" * (radix - 1 - w) + b"1" + b"0" * w for w in range(radix)}
+    chunks[None] = b"0" * radix
 
     buf: list[Optional[int]] = [None] * n
     for idx in range(t - 1, n):
         p_new = order[idx]
         placed = order[:idx]
         dn = sizes[p_new]
+        subsets = list(combinations(range(idx), t - 1))
+        # The rank of j_0 < ... < j_{t-2} is the sum over the slots s of
+        # C(idx-1-s, t-1-s) - C(idx-1-j_s, t-1-s).  A term is negative only
+        # for a position below s, which no key holds in slot s; it is
+        # clamped to 0, and what the walk below gathers there reaches no key.
+        offsets = [[max(0, comb(idx - 1 - s, t - 1 - s) - comb(idx - 1 - j, t - 1 - s))
+                    * value_span for j in range(idx)] for s in range(t - 1)]
 
-        # Valid t-way combinations involving the new parameter: pending[v]
-        # holds the key of each combination still uncovered with p_new = v.
-        pending: list[set[int]] = [set() for _ in range(dn)]
+        # Valid t-way combinations involving the new parameter: bit ``key``
+        # of pending[v] is set while that combination with p_new = v is
+        # uncovered.  The bits are first marked as b"1" in a b"0" string,
+        # lowest key first, and each string is read as one int.
+        marks = [bytearray(b"0" * (len(subsets) * value_span)) for _ in range(dn)]
         new_dropped = p_new in handler.dropped
-        for positions in combinations(range(idx), t - 1):
+        for rank, positions in enumerate(subsets):
             subset = [placed[j] for j in positions]
-            pos_key = 0
-            for j in positions:
-                pos_key = pos_key * n + j
             # The shortcut of ``valid``, decided once for the whole subset.
             unchecked = new_dropped and all(q in handler.dropped for q in subset)
             for prefix in product(*(range(sizes[q]) for q in subset)):
-                key = pos_key
+                key = rank
                 for q, w in zip(subset, prefix):
                     buf[q] = w
                     key = key * radix + w
                 if unchecked:
-                    for s in pending:
-                        s.add(key)
+                    for m in marks:
+                        m[key] = _ONE
                     continue
                 for v in range(dn):
                     buf[p_new] = v
                     if is_valid(buf):
-                        pending[v].add(key)
+                        marks[v][key] = _ONE
             for q in subset:
                 buf[q] = None
         buf[p_new] = None
+        pending = [int(m[::-1], 2) for m in marks]
+        del marks
 
         # Horizontal growth: extend every row with the best valid value.
+        # ``seen`` has the bit of every key the row holds.  The positions
+        # of a key increase from slot to slot, so walking the row's
+        # positions downward, acc[s] gathers the keys' slots s to t-2 from
+        # the positions walked so far, and t=3 names acc[0] and acc[1]
+        # ``seen`` and ``tail``.
+        placed_down = placed[::-1]
         for row in rows:
-            vals = [row[q] for q in placed]
-            if t == 2:
-                seen = {o + w for o, w in zip(offsets[0], vals) if w is not None}
+            if t == 1:
+                seen = 1  # the one key, of no placed parameter
+            elif t == 2:
+                seen = int(b"".join(map(chunks.__getitem__,
+                                        map(row.__getitem__, placed_down))), 2)
             elif t == 3:
-                heads = [o + w * radix for o, w in zip(offsets[0], vals) if w is not None]
-                tails = [o + w for o, w in zip(offsets[1], vals) if w is not None]
-                seen = {a + b for i, a in enumerate(heads, 1) for b in tails[i:]}
+                vals = [row[q] for q in placed]
+                seen = tail = 0
+                for j in range(idx - 1, -1, -1):
+                    w = vals[j]
+                    if w is not None:
+                        seen |= tail << (offsets[0][j] + w * radix)
+                        tail |= 1 << (offsets[1][j] + w)
             else:
-                slots = [[o + w * vw for o, w in zip(offs, vals) if w is not None]
-                         for offs, vw in zip(offsets, value_weight)]
-                seen = {sum(slot[k] for slot, k in zip(slots, ks))
-                        for ks in combinations(range(idx - vals.count(None)), t - 1)}
+                vals = [row[q] for q in placed]
+                acc = [0] * (t - 1)
+                for j in range(idx - 1, -1, -1):
+                    w = vals[j]
+                    if w is not None:
+                        for s in range(t - 2):
+                            acc[s] |= acc[s + 1] << (offsets[s][j] + w * value_weight[s])
+                        acc[-1] |= 1 << (offsets[-1][j] + w)
+                seen = acc[0]
             # The shortcut of ``valid``, decided once for the whole row.
             free = new_dropped and all(row[p] is None for p in constrained)
-            best_v = None
-            best: set[int] = set()
+            best_v, best, count = None, 0, -1
             for v in range(dn):
                 row[p_new] = v
                 if not (free or is_valid(row)):
                     continue
                 covered = pending[v] & seen
-                if best_v is None or len(covered) > len(best):
-                    best_v, best = v, covered
+                if covered.bit_count() > count:
+                    best_v, best, count = v, covered, covered.bit_count()
             row[p_new] = best_v  # None when no valid extension exists
             if best_v is not None:
-                pending[best_v] -= best
+                pending[best_v] ^= best
         masks[p_new] = _value_masks(rows, p_new, dn)
 
         # Vertical growth: place what horizontal growth did not cover, in
-        # key order, which is enumeration order.
-        for key in sorted(set().union(*pending)):
-            pos_key, value_key = divmod(key, value_span)
+        # key order, which is enumeration order: the set bits of the OR of
+        # ``pending``, lowest first.
+        left = 0
+        for m in pending:
+            left |= m
+        for key in _set_bits(left):
+            rank, value_key = divmod(key, value_span)
             pairs = []
-            for _ in range(t - 1):
-                pos_key, j = divmod(pos_key, n)
+            for j in reversed(subsets[rank]):
                 value_key, w = divmod(value_key, radix)
                 pairs.append((placed[j], w))
             for v in range(dn):
-                if key not in pending[v]:
+                if not pending[v] >> key & 1:
                     continue
                 full = pairs + [(p_new, v)]
                 covering = compatible = -1

@@ -216,7 +216,8 @@ def predicate(expr: ConstraintExpr) -> Callable[[Sequence[Optional[int]]], bool]
 class Parameter:
     """A named parameter and its value labels.  It owns the per-parameter
     rules: a non-empty name, a non-empty tuple of labels, no empty and no
-    repeated label."""
+    repeated label, and no label ``-``, which a suite CSV cell reads as an
+    unspecified value."""
 
     name: str
     domain: tuple[str, ...]
@@ -236,6 +237,10 @@ class Parameter:
             raise ModelError(f"parameter {self.name!r} has an empty value label")
         if len(set(self.domain)) != len(self.domain):
             raise ModelError(f"parameter {self.name!r} has duplicate value labels")
+        # The CSV reader strips a cell before it compares it with "-".
+        if any(v.strip() == "-" for v in self.domain):
+            raise ModelError(f"parameter {self.name!r} has the value label '-', "
+                             "which suite CSV files reserve for an unspecified value")
 
 
 @dataclass(frozen=True)

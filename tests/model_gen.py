@@ -39,9 +39,10 @@ def _random_tree(rng: random.Random, pool, sizes, depth):
 
 
 def random_model(rng: random.Random, max_params: int = 6, max_domain: int = 4,
-                 max_constraints: int = 4) -> SutModel:
-    n = rng.randint(2, max_params)
-    sizes = [rng.randint(2, max_domain) for _ in range(n)]
+                 max_constraints: int = 4, min_params: int = 2,
+                 min_domain: int = 2) -> SutModel:
+    n = rng.randint(min_params, max_params)
+    sizes = [rng.randint(min_domain, max_domain) for _ in range(n)]
     params = tuple(
         Parameter(f"p{i}", tuple(f"v{j}" for j in range(sizes[i])))
         for i in range(n)

@@ -85,6 +85,19 @@ class TestGenerateCommand:
         assert main(["generate", str(bad), "-t", "1"]) == 2
         assert "unknown parameter" in capsys.readouterr().err
 
+    def test_dash_label_exits_2_with_one_line(self, tmp_path, capsys):
+        # "-" marks an unspecified cell in the suite CSV, so a model with a
+        # value labelled "-" is refused before any suite is written.
+        path = tmp_path / "dash.model"
+        path.write_text("[PARAMETERS]\na: -, x\nb: p, q\n")
+        for argv in (["generate", str(path), "-t", "2"],
+                     ["verify", str(path), str(tmp_path / "suite.csv"), "-t", "2"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "dash.model" in captured.err and "value label '-'" in captured.err
+
     def test_strength_too_large(self, printer_path, capsys):
         assert main(["generate", str(printer_path), "-t", "9"]) == 2
         assert "out of range" in capsys.readouterr().err

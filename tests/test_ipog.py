@@ -6,7 +6,8 @@ from itertools import combinations, product
 
 import pytest
 
-from citbdd.ipog import VerifyReport, _row, generate, verify
+from citbdd.ipog import TestSuite as Suite
+from citbdd.ipog import VerifyReport, _row, _strength, _value_masks, generate, verify
 from citbdd.model import eval_constraints, parse_model
 from citbdd.validity import HANDLER_KINDS, OracleHandler, ValidityHandler, build_handler
 
@@ -377,6 +378,194 @@ class TestVerifyMatchesReference:
             handler = build_handler(model, HANDLER_KINDS[i % len(HANDLER_KINDS)])
             for t in range(1, min(4, model.n) + 1):
                 _assert_matches_reference(model, t, handler, f"model {i}", rng)
+
+
+def generate_reference(model, t, handler, fill_dashes=False):
+    """``generate`` as it was before it kept the uncovered combinations as
+    int masks: one set of keys per value of the new parameter, a set of
+    each row's own keys, and one set intersection per candidate value."""
+    n = model.n
+    t = _strength(t, n)
+    sizes = model.sizes
+    order = sorted(range(n), key=lambda i: (-sizes[i], i))
+    constrained = [p for p in range(n) if p not in handler.dropped]
+    is_valid = handler.is_valid
+
+    def valid(row):
+        return all(row[p] is None for p in constrained) or is_valid(row)
+
+    if not is_valid((None,) * n):
+        return Suite(model, t, [], diagnostic="model has no valid test cases")
+
+    rows = []
+    masks = {p: _value_masks(rows, p, sizes[p]) for p in order[:t - 1]}
+    radix = max(sizes)
+    value_span = radix ** (t - 1)
+    value_weight = [radix ** (t - 2 - s) for s in range(t - 1)]
+    offsets = [[j * n ** (t - 2 - s) * value_span for j in range(n)]
+               for s in range(t - 1)]
+
+    buf = [None] * n
+    for idx in range(t - 1, n):
+        p_new = order[idx]
+        placed = order[:idx]
+        dn = sizes[p_new]
+
+        pending = [set() for _ in range(dn)]
+        new_dropped = p_new in handler.dropped
+        for positions in combinations(range(idx), t - 1):
+            subset = [placed[j] for j in positions]
+            pos_key = 0
+            for j in positions:
+                pos_key = pos_key * n + j
+            unchecked = new_dropped and all(q in handler.dropped for q in subset)
+            for prefix in product(*(range(sizes[q]) for q in subset)):
+                key = pos_key
+                for q, w in zip(subset, prefix):
+                    buf[q] = w
+                    key = key * radix + w
+                if unchecked:
+                    for s in pending:
+                        s.add(key)
+                    continue
+                for v in range(dn):
+                    buf[p_new] = v
+                    if is_valid(buf):
+                        pending[v].add(key)
+            for q in subset:
+                buf[q] = None
+        buf[p_new] = None
+
+        for row in rows:
+            vals = [row[q] for q in placed]
+            slots = [[o + w * vw for o, w in zip(offs, vals) if w is not None]
+                     for offs, vw in zip(offsets, value_weight)]
+            seen = {sum(slot[k] for slot, k in zip(slots, ks))
+                    for ks in combinations(range(idx - vals.count(None)), t - 1)}
+            free = new_dropped and all(row[p] is None for p in constrained)
+            best_v = None
+            best = set()
+            for v in range(dn):
+                row[p_new] = v
+                if not (free or is_valid(row)):
+                    continue
+                covered = pending[v] & seen
+                if best_v is None or len(covered) > len(best):
+                    best_v, best = v, covered
+            row[p_new] = best_v
+            if best_v is not None:
+                pending[best_v] -= best
+        masks[p_new] = _value_masks(rows, p_new, dn)
+
+        for key in sorted(set().union(*pending)):
+            pos_key, value_key = divmod(key, value_span)
+            pairs = []
+            for _ in range(t - 1):
+                pos_key, j = divmod(pos_key, n)
+                value_key, w = divmod(value_key, radix)
+                pairs.append((placed[j], w))
+            for v in range(dn):
+                if key not in pending[v]:
+                    continue
+                full = pairs + [(p_new, v)]
+                covering = compatible = -1
+                for p, w in full:
+                    m = masks[p]
+                    covering &= m[w]
+                    compatible &= m[w] | m[None]
+                if covering:
+                    continue
+                while compatible:
+                    bit = compatible & -compatible
+                    r = rows[bit.bit_length() - 1]
+                    candidate = list(r)
+                    for p, w in full:
+                        candidate[p] = w
+                    if valid(candidate):
+                        for p, w in full:
+                            if r[p] is None:
+                                masks[p][None] ^= bit
+                                masks[p][w] |= bit
+                        r[:] = candidate
+                        break
+                    compatible ^= bit
+                else:
+                    bit = 1 << len(rows)
+                    row = _row(n, [p for p, _ in full], [w for _, w in full])
+                    rows.append(row)
+                    for p in order[:idx + 1]:
+                        masks[p][row[p]] |= bit
+
+    if fill_dashes:
+        for row in rows:
+            for p in range(n):
+                if row[p] is not None:
+                    continue
+                for v in range(sizes[p]):
+                    row[p] = v
+                    if valid(row):
+                        break
+                    row[p] = None
+
+    return Suite(model, t, [tuple(r) for r in rows])
+
+
+class AnswerRecorder(RecordingHandler):
+    """Records every ``(assignment, answer)`` pair of ``is_valid``."""
+
+    def is_valid(self, assignment):
+        answer = self.inner.is_valid(assignment)
+        self.calls.append((tuple(assignment), answer))
+        return answer
+
+
+def _generated(gen, model, t, handler, fill):
+    """The rows and diagnostic ``gen`` returns, and the checks it makes."""
+    recorder = AnswerRecorder(handler)
+    recorder.calls = Digest()
+    suite = gen(model, t, recorder, fill_dashes=fill)
+    return suite.rows, suite.diagnostic, recorder.calls.value()
+
+
+def _assert_generate_matches_reference(model, t, handler, where):
+    """Compare with and without ``fill_dashes``; return the unfilled rows."""
+    for fill in (True, False):
+        expected = _generated(generate_reference, model, t, handler, fill)
+        assert _generated(generate, model, t, handler, fill) == expected, \
+            f"{where}, t={t}, fill={fill}"
+    return expected[0]
+
+
+class TestGenerateMatchesReference:
+    """``generate`` gives the reference's rows and diagnostic from the same
+    ``is_valid`` calls, in the same order and with the same answers."""
+
+    def test_random_models(self):
+        rng = random.Random(23)
+        for i in range(80):
+            model = random_model(rng, max_params=7)
+            handler = build_handler(model, HANDLER_KINDS[i % len(HANDLER_KINDS)])
+            for t in range(1, min(4, model.n) + 1):
+                _assert_generate_matches_reference(model, t, handler, f"model {i}")
+
+    def test_wide_models(self):
+        # Domains of 5 to 8 values over 10 to 12 parameters: a row's key
+        # mask spans dozens of machine words at t=3.
+        rng = random.Random(2008)
+        for i in range(4):
+            model = random_model(rng, max_params=12, max_domain=8, min_params=10,
+                                 min_domain=5, max_constraints=6)
+            handler = build_handler(model, "bdd-partial-up")
+            for t in (1, 2, 3):
+                _assert_generate_matches_reference(model, t, handler, f"wide model {i}")
+
+    def test_wide_model_t4(self):
+        # Hundreds of machine words per mask, and thousands of rows.
+        model = random_model(random.Random(2), max_params=10, max_domain=8,
+                             min_params=10, min_domain=5, max_constraints=6)
+        handler = build_handler(model, "bdd-partial-up")
+        rows = _assert_generate_matches_reference(model, 4, handler, "wide model")
+        assert len(rows) > 1000
 
 
 # A model with a dropped parameter: P3 occurs in no constraint.

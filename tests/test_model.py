@@ -129,6 +129,16 @@ class TestParseErrors:
         with pytest.raises(ModelError, match="empty value label"):
             Parameter("x", ("a", ""))
 
+    def test_dash_label_is_reserved(self):
+        # A suite CSV writes "-" for an unspecified value, so a value
+        # labelled "-" would read back as unspecified.
+        with pytest.raises(ModelError, match="parameter 'a' has the value label '-'.*line 2"):
+            parse_model("[PARAMETERS]\na: -, x\nb: p, q\n")
+        for label in ("-", " - "):
+            with pytest.raises(ModelError, match="parameter 'x' has the value label '-'"):
+                Parameter("x", ("a", label))
+        assert Parameter("x", ("-a", "a-", "--")).domain == ("-a", "a-", "--")
+
 
 class TestMalformedNodes:
     """``SutModel`` checks constraint trees built in code, not parsed."""
