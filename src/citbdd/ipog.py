@@ -12,27 +12,28 @@ candidate row is validity-checked through the supplied handler's
 Uncovered combinations are kept as one Python int per value of the new
 parameter, with bit ``key`` set while that combination is uncovered, after
 the bitmap representation of IPOG-D (Lei, Kacker, Kuhn, Okun & Lawrence,
-STVR 2008).  A key stands for t-1 placed parameters and their values: the
-rank of their placement positions among the (t-1)-subsets of the placed
-parameters, then their values folded with radix ``max(sizes)``, so the
-order of the bits is the order in which ``combinations`` and ``product``
-enumerate the combinations.  The rank is a sum of one term per slot, so
+STVR 2008).  A key stands for t-1 placed parameters and their values.
+The keys are dense: the combinations are laid out by the placement
+position of their first parameter, highest first, then its value, then the
+rest laid out the same way, so an int holds one bit per combination
+whatever the mix of domain sizes.  A key is a sum of one term per slot, so
 horizontal growth builds the int of a row's own keys with O(t * idx)
-big-int operations: at t=2 it sets one bit per specified position, and
-above that it walks the row's positions downward and shifts the keys'
-later slots, gathered so far, into place behind each one.  A candidate
+big-int operations: it joins one chunk of bits per position for the last
+slot, and for each slot above, it shifts the keys of the later slots into
+place behind each specified position, masked to the positions after it,
+which are the lowest keys.  A candidate
 value covers ``(pending[v] & seen).bit_count()`` combinations, and the
 winner's are XORed out of its int.
 
-Vertical growth takes the leftover combinations as the set bits of the OR
-of those ints, lowest first, which is enumeration order.  It reads the
-suite through row bitmasks: for each placed parameter one Python int per
-value, bit ``i`` set when row ``i`` holds that value, and one for the rows
-where it is unspecified.  A combination is covered when the AND of its
-value masks is non-zero, and the rows it can merge into are the AND of its
-``value | unspecified`` masks, tried from the lowest bit up, which is row
-order.  Vertical growth keeps the masks in step as it fills positions and
-appends rows.
+Vertical growth decodes the leftover keys, the set bits of those ints, and
+places them in the order in which ``combinations`` and ``product``
+enumerate the combinations.  It reads the suite through row bitmasks: for
+each placed parameter one Python int per value, bit ``i`` set when row
+``i`` holds that value, and one for the rows where it is unspecified.  A
+combination is covered when the AND of its value masks is non-zero, and
+the rows it can merge into are the AND of its ``value | unspecified``
+masks, tried from the lowest bit up, which is row order.  Vertical growth
+keeps the masks in step as it fills positions and appends rows.
 
 Rows may keep unspecified positions; ``fill_dashes`` completes them with
 the smallest values that keep each row valid.
@@ -51,10 +52,10 @@ exactly its uncovered combinations.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations, product, starmap
-from math import comb
-from operator import and_, index
+from operator import and_, getitem, index, neg
 from typing import Iterator, Optional, Sequence
 
 from .model import Assignment, SutModel
@@ -130,6 +131,55 @@ def _set_bits(mask: int) -> Iterator[int]:
         i = bits.find("1", i + 1)
 
 
+class _KeyLayout:
+    """Dense int keys for the combinations of ``k`` placed parameters,
+    whose domain sizes are ``sizes`` in placement order.
+
+    A combination is ``k`` slots, each a position and a value, positions
+    increasing.  Combinations are laid out by the first slot's position,
+    highest first, then its value, then the rest laid out the same way, so
+    the keys are exactly ``range(space)``.  A key is a sum of one term per
+    slot, ``base[s][j] + w * weight[s][j]`` for position ``j`` holding
+    value ``w`` in slot ``s``: ``base`` counts the combinations of slots
+    ``s`` on whose first position is above ``j``, which come first, and
+    ``weight`` those of the slots after ``s`` above ``j``, which each value
+    of slot ``s`` spans.  That sum lets a row's keys be built by shifting
+    the keys of later slots into place, and the keys of the slots after
+    ``s`` whose positions are above ``j`` are those below ``weight[s][j]``.
+    """
+
+    def __init__(self, sizes: Sequence[int], k: int):
+        n = len(sizes)
+        # count[m][a]: combinations of m slots over positions a and up.
+        count = [[1] * (n + 1)]
+        for _ in range(k):
+            below, here = count[-1], [0] * (n + 1)
+            for a in range(n - 1, -1, -1):
+                here[a] = here[a + 1] + sizes[a] * below[a + 1]
+            count.append(here)
+        self.base = [count[m][1:] for m in range(k, 0, -1)]
+        self.weight = [count[m - 1][1:] for m in range(k, 0, -1)]
+        self.space = count[k][0]
+        self._n, self._radix = n, max(sizes, default=1)
+
+    def combo(self, key: int) -> tuple[int, list[int], list[int]]:
+        """The combination with key ``key``: an int that orders it as
+        ``combinations`` and ``product`` enumerate them, its positions and
+        its values."""
+        n, radix = self._n, self._radix
+        positions, values = [], []
+        j_rank = w_rank = 0
+        for base, weight in zip(self.base, self.weight):
+            # The keys of positions above j come first, so the position is
+            # the first j whose base, a non-increasing list, is <= key.
+            j = bisect_left(base, -key, key=neg)
+            w, key = divmod(key - base[j], weight[j])
+            positions.append(j)
+            values.append(w)
+            j_rank, w_rank = j_rank * n + j, w_rank * radix + w
+        return j_rank * radix ** len(values) + w_rank, positions, values
+
+
 def _strength(t: int, n: int) -> int:
     """``t`` as an int, if it is an index, as ``operator.index`` reads one,
     from 1 to ``n``: ``2.0`` and ``"2"`` are out of range like ``0``."""
@@ -176,50 +226,36 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
     rows: list[list[Optional[int]]] = []
     masks = {p: _value_masks(rows, p, sizes[p]) for p in order[:t - 1]}
 
-    # Key of a combination of t-1 placed parameters: the rank of their
-    # positions among the (t-1)-subsets of the placed ones, in the order
-    # ``combinations`` makes them, then their values folded with radix
-    # ``radix``, in the order ``product`` makes them.  So keys sort in
-    # enumeration order, and a key's bit in a Python int wastes no space on
-    # position tuples that are not subsets.  Slot s of a combination adds
-    # offsets[s][j] for position j and w * value_weight[s] for value w.
-    # At t=2 a key is j * radix + w, so the binary string of a row's keys
-    # is one chunk of ``radix`` digits per position, the highest position
-    # first, with a 1 at value w.
-    radix = max(sizes)
-    value_span = radix ** (t - 1)
-    value_weight = [radix ** (t - 2 - s) for s in range(t - 1)]
-    chunks = {w: b"0" * (radix - 1 - w) + b"1" + b"0" * w for w in range(radix)}
-    chunks[None] = b"0" * radix
+    # At t=2 the binary string of a row's keys is one chunk per position
+    # (see below): chunks[p][w] is that of value w of parameter p.
+    chunks = [{w: b"0" * (d - 1 - w) + b"1" + b"0" * w for w in range(d)}
+              | {None: b"0" * d} for d in sizes]
 
     buf: list[Optional[int]] = [None] * n
     for idx in range(t - 1, n):
         p_new = order[idx]
         placed = order[:idx]
         dn = sizes[p_new]
-        subsets = list(combinations(range(idx), t - 1))
-        # The rank of j_0 < ... < j_{t-2} is the sum over the slots s of
-        # C(idx-1-s, t-1-s) - C(idx-1-j_s, t-1-s).  A term is negative only
-        # for a position below s, which no key holds in slot s; it is
-        # clamped to 0, and what the walk below gathers there reaches no key.
-        offsets = [[max(0, comb(idx - 1 - s, t - 1 - s) - comb(idx - 1 - j, t - 1 - s))
-                    * value_span for j in range(idx)] for s in range(t - 1)]
+        layout = _KeyLayout(list(map(sizes.__getitem__, placed)), t - 1)
+        base, weight = layout.base, layout.weight
 
         # Valid t-way combinations involving the new parameter: bit ``key``
         # of pending[v] is set while that combination with p_new = v is
         # uncovered.  The bits are first marked as b"1" in a b"0" string,
         # lowest key first, and each string is read as one int.
-        marks = [bytearray(b"0" * (len(subsets) * value_span)) for _ in range(dn)]
+        marks = [bytearray(b"0" * layout.space) for _ in range(dn)]
         new_dropped = p_new in handler.dropped
-        for rank, positions in enumerate(subsets):
+        for positions in combinations(range(idx), t - 1):
             subset = [placed[j] for j in positions]
+            lowest = sum(map(getitem, base, positions))
+            weights = list(map(getitem, weight, positions))
             # The shortcut of ``valid``, decided once for the whole subset.
             unchecked = new_dropped and all(q in handler.dropped for q in subset)
             for prefix in product(*(range(sizes[q]) for q in subset)):
-                key = rank
-                for q, w in zip(subset, prefix):
+                key = lowest
+                for q, w, wt in zip(subset, prefix, weights):
                     buf[q] = w
-                    key = key * radix + w
+                    key += w * wt
                 if unchecked:
                     for m in marks:
                         m[key] = _ONE
@@ -235,36 +271,28 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
         del marks
 
         # Horizontal growth: extend every row with the best valid value.
-        # ``seen`` has the bit of every key the row holds.  The positions
-        # of a key increase from slot to slot, so walking the row's
-        # positions downward, acc[s] gathers the keys' slots s to t-2 from
-        # the positions walked so far, and t=3 names acc[0] and acc[1]
-        # ``seen`` and ``tail``.
-        placed_down = placed[::-1]
+        # ``seen`` has the bit of every key the row holds.  A key of the
+        # last slot alone is the position's first key plus the value, and
+        # higher positions come first, so the binary string of those keys
+        # is one chunk per position, in placement order, as long as its
+        # domain, with a 1 at the value.  Each slot s above, from the last
+        # up, shifts into place behind each specified position j the keys
+        # of the later slots whose positions are above j: those below
+        # weight[s][j].
+        placed_chunks = list(map(chunks.__getitem__, placed))
+        upper = [(b, wt, [(1 << c) - 1 for c in wt])
+                 for b, wt in zip(base[-2::-1], weight[-2::-1])]
         for row in rows:
             if t == 1:
                 seen = 1  # the one key, of no placed parameter
-            elif t == 2:
-                seen = int(b"".join(map(chunks.__getitem__,
-                                        map(row.__getitem__, placed_down))), 2)
-            elif t == 3:
-                vals = [row[q] for q in placed]
-                seen = tail = 0
-                for j in range(idx - 1, -1, -1):
-                    w = vals[j]
-                    if w is not None:
-                        seen |= tail << (offsets[0][j] + w * radix)
-                        tail |= 1 << (offsets[1][j] + w)
             else:
-                vals = [row[q] for q in placed]
-                acc = [0] * (t - 1)
-                for j in range(idx - 1, -1, -1):
-                    w = vals[j]
-                    if w is not None:
-                        for s in range(t - 2):
-                            acc[s] |= acc[s + 1] << (offsets[s][j] + w * value_weight[s])
-                        acc[-1] |= 1 << (offsets[-1][j] + w)
-                seen = acc[0]
+                seen = int(b"".join(map(dict.__getitem__, placed_chunks,
+                                        map(row.__getitem__, placed))), 2)
+                for b, wt, above in upper:
+                    later, seen = seen, 0
+                    for j, w in enumerate(map(row.__getitem__, placed)):
+                        if w is not None:
+                            seen |= (later & above[j]) << (b[j] + w * wt[j])
             # The shortcut of ``valid``, decided once for the whole row.
             free = new_dropped and all(row[p] is None for p in constrained)
             best_v, best, count = None, 0, -1
@@ -281,48 +309,41 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
         masks[p_new] = _value_masks(rows, p_new, dn)
 
         # Vertical growth: place what horizontal growth did not cover, in
-        # key order, which is enumeration order: the set bits of the OR of
-        # ``pending``, lowest first.
-        left = 0
-        for m in pending:
-            left |= m
-        for key in _set_bits(left):
-            rank, value_key = divmod(key, value_span)
-            pairs = []
-            for j in reversed(subsets[rank]):
-                value_key, w = divmod(value_key, radix)
-                pairs.append((placed[j], w))
-            for v in range(dn):
-                if not pending[v] >> key & 1:
-                    continue
-                full = pairs + [(p_new, v)]
-                covering = compatible = -1
+        # enumeration order: the leftover keys, decoded, by the rank of
+        # their combination and then by the new parameter's value.
+        left = [(key, v) for v, m in enumerate(pending) for key in _set_bits(m)]
+        combo = {key: layout.combo(key) for key in {key for key, _ in left}}
+        for _, v, key in sorted((combo[key][0], v, key) for key, v in left):
+            _, positions, values = combo[key]
+            full = [(placed[j], w) for j, w in zip(positions, values)]
+            full.append((p_new, v))
+            covering = compatible = -1
+            for p, w in full:
+                m = masks[p]
+                covering &= m[w]
+                compatible &= m[w] | m[None]
+            if covering:
+                continue  # covered by a row changed earlier in this phase
+            while compatible:  # the rows in order, lowest bit first
+                bit = compatible & -compatible
+                r = rows[bit.bit_length() - 1]
+                candidate = list(r)
                 for p, w in full:
-                    m = masks[p]
-                    covering &= m[w]
-                    compatible &= m[w] | m[None]
-                if covering:
-                    continue  # covered by a row changed earlier in this phase
-                while compatible:  # the rows in order, lowest bit first
-                    bit = compatible & -compatible
-                    r = rows[bit.bit_length() - 1]
-                    candidate = list(r)
+                    candidate[p] = w
+                if valid(candidate):
                     for p, w in full:
-                        candidate[p] = w
-                    if valid(candidate):
-                        for p, w in full:
-                            if r[p] is None:
-                                masks[p][None] ^= bit
-                                masks[p][w] |= bit
-                        r[:] = candidate
-                        break
-                    compatible ^= bit
-                else:
-                    bit = 1 << len(rows)
-                    row = _row(n, [p for p, _ in full], [w for _, w in full])
-                    rows.append(row)
-                    for p in order[:idx + 1]:
-                        masks[p][row[p]] |= bit
+                        if r[p] is None:
+                            masks[p][None] ^= bit
+                            masks[p][w] |= bit
+                    r[:] = candidate
+                    break
+                compatible ^= bit
+            else:
+                bit = 1 << len(rows)
+                row = _row(n, [p for p, _ in full], [w for _, w in full])
+                rows.append(row)
+                for p in order[:idx + 1]:
+                    masks[p][row[p]] |= bit
 
     if fill_dashes:
         for row in rows:

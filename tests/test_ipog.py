@@ -7,7 +7,9 @@ from itertools import combinations, product
 import pytest
 
 from citbdd.ipog import TestSuite as Suite
-from citbdd.ipog import VerifyReport, _row, _strength, _value_masks, generate, verify
+from citbdd.ipog import (
+    VerifyReport, _KeyLayout, _row, _strength, _value_masks, generate, verify,
+)
 from citbdd.model import eval_constraints, parse_model
 from citbdd.validity import HANDLER_KINDS, OracleHandler, ValidityHandler, build_handler
 
@@ -566,6 +568,38 @@ class TestGenerateMatchesReference:
         handler = build_handler(model, "bdd-partial-up")
         rows = _assert_generate_matches_reference(model, 4, handler, "wide model")
         assert len(rows) > 1000
+
+    @pytest.mark.parametrize("big, binary, t", [(200, 10, 3), (100, 8, 4), (50, 20, 3)])
+    def test_mixed_domains(self, big, binary, t):
+        # One large domain among binary ones: keys spaced for the largest
+        # domain in every slot would need 56 million bits per value at t=4.
+        text = ("[PARAMETERS]\nbig: " + ", ".join(f"v{i}" for i in range(big)) + "\n"
+                + "".join(f"b{i}: no, yes\n" for i in range(binary))
+                + "[CONSTRAINTS]\nbig = v0 => b0 = no\nb1 = yes => b2 = no\n")
+        model = parse_model(text)
+        handler = build_handler(model, "bdd-partial-up")
+        _assert_generate_matches_reference(model, t, handler, f"{big} x {binary}")
+
+
+class TestKeyLayout:
+    @pytest.mark.parametrize("sizes", [[5, 4, 4, 3, 2, 2], [7] * 6, [200] + [2] * 10,
+                                       [3, 1, 2], []])
+    def test_keys_are_dense_and_decode(self, sizes):
+        for k in range(min(len(sizes), 4) + 1):
+            layout = _KeyLayout(sizes, k)
+            found = []
+            for positions in combinations(range(len(sizes)), k):
+                for values in product(*(range(sizes[j]) for j in positions)):
+                    key = sum(layout.base[s][j] + w * layout.weight[s][j]
+                              for s, (j, w) in enumerate(zip(positions, values)))
+                    rank, *combo = layout.combo(key)
+                    assert combo == [list(positions), list(values)]
+                    found.append((key, rank))
+            keys = [key for key, _ in found]
+            ranks = [rank for _, rank in found]
+            assert sorted(keys) == list(range(layout.space))
+            # The rank orders combinations as they were enumerated.
+            assert ranks == sorted(set(ranks))
 
 
 # A model with a dropped parameter: P3 occurs in no constraint.
