@@ -388,21 +388,11 @@ class BddManager:
         """Number of satisfying valuations of ``f`` over all variables."""
         self._check(f)
         levels, low, high = self._level, self._low, self._high
-        # Post-order over an explicit stack: a node is counted once both of
-        # its children are, so no recursion depth grows with ``var_count``.
+        # A child has a lower handle than its parent, so ascending handles
+        # count both children before the node, with no recursion.
         counts = {FALSE: 0, TRUE: 1}
-        stack = [f]
-        while stack:
-            node = stack[-1]
-            if node in counts:
-                stack.pop()
-                continue
+        for node in sorted(self.function_nodes(f)):
             lo, hi = low[node], high[node]
-            if lo not in counts or hi not in counts:
-                stack.append(hi)
-                stack.append(lo)
-                continue
-            stack.pop()
             below = levels[node] + 1
             counts[node] = ((counts[lo] << (levels[lo] - below))
                             + (counts[hi] << (levels[hi] - below)))

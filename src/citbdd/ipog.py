@@ -25,15 +25,16 @@ which are the lowest keys.  A candidate
 value covers ``(pending[v] & seen).bit_count()`` combinations, and the
 winner's are XORed out of its int.
 
-Vertical growth decodes the leftover keys, the set bits of those ints, and
-places them in the order in which ``combinations`` and ``product``
-enumerate the combinations.  It reads the suite through row bitmasks: for
-each placed parameter one Python int per value, bit ``i`` set when row
-``i`` holds that value, and one for the rows where it is unspecified.  A
-combination is covered when the AND of its value masks is non-zero, and
-the rows it can merge into are the AND of its ``value | unspecified``
-masks, tried from the lowest bit up, which is row order.  Vertical growth
-keeps the masks in step as it fills positions and appends rows.
+Vertical growth decodes the leftover keys, the set bits of those ints, to
+positions and values, whose sorted order is the order in which
+``combinations`` and ``product`` enumerate the combinations.  It reads the
+suite through row bitmasks: for each placed parameter one Python int per
+value, bit ``i`` set when row ``i`` holds that value, and one for the rows
+where it is unspecified.  A combination is covered when the AND of its
+value masks is non-zero, and the rows it can merge into are the AND of its
+``value | unspecified`` masks, tried from the lowest bit up, which is row
+order.  Vertical growth keeps the masks in step as it fills positions and
+appends rows.
 
 Rows may keep unspecified positions; ``fill_dashes`` completes them with
 the smallest values that keep each row valid.
@@ -146,6 +147,7 @@ class _KeyLayout:
     of slot ``s`` spans.  That sum lets a row's keys be built by shifting
     the keys of later slots into place, and the keys of the slots after
     ``s`` whose positions are above ``j`` are those below ``weight[s][j]``.
+    ``combo`` reads a key back; the pairs it returns sort in enumeration order.
     """
 
     def __init__(self, sizes: Sequence[int], k: int):
@@ -160,15 +162,12 @@ class _KeyLayout:
         self.base = [count[m][1:] for m in range(k, 0, -1)]
         self.weight = [count[m - 1][1:] for m in range(k, 0, -1)]
         self.space = count[k][0]
-        self._n, self._radix = n, max(sizes, default=1)
 
-    def combo(self, key: int) -> tuple[int, list[int], list[int]]:
-        """The combination with key ``key``: an int that orders it as
-        ``combinations`` and ``product`` enumerate them, its positions and
-        its values."""
-        n, radix = self._n, self._radix
+    def combo(self, key: int) -> tuple[list[int], list[int]]:
+        """The positions and values of the combination with key ``key``:
+        such pairs of ``k``-entry lists compare in the order in which
+        ``combinations`` and then ``product`` enumerate them."""
         positions, values = [], []
-        j_rank = w_rank = 0
         for base, weight in zip(self.base, self.weight):
             # The keys of positions above j come first, so the position is
             # the first j whose base, a non-increasing list, is <= key.
@@ -176,8 +175,7 @@ class _KeyLayout:
             w, key = divmod(key - base[j], weight[j])
             positions.append(j)
             values.append(w)
-            j_rank, w_rank = j_rank * n + j, w_rank * radix + w
-        return j_rank * radix ** len(values) + w_rank, positions, values
+        return positions, values
 
 
 def _strength(t: int, n: int) -> int:
@@ -226,8 +224,8 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
     rows: list[list[Optional[int]]] = []
     masks = {p: _value_masks(rows, p, sizes[p]) for p in order[:t - 1]}
 
-    # At t=2 the binary string of a row's keys is one chunk per position
-    # (see below): chunks[p][w] is that of value w of parameter p.
+    # The binary string of a row's keys of the last slot is one chunk per
+    # position (see below): chunks[p][w] is that of value w of parameter p.
     chunks = [{w: b"0" * (d - 1 - w) + b"1" + b"0" * w for w in range(d)}
               | {None: b"0" * d} for d in sizes]
 
@@ -309,12 +307,11 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
         masks[p_new] = _value_masks(rows, p_new, dn)
 
         # Vertical growth: place what horizontal growth did not cover, in
-        # enumeration order: the leftover keys, decoded, by the rank of
-        # their combination and then by the new parameter's value.
-        left = [(key, v) for v, m in enumerate(pending) for key in _set_bits(m)]
-        combo = {key: layout.combo(key) for key in {key for key, _ in left}}
-        for _, v, key in sorted((combo[key][0], v, key) for key, v in left):
-            _, positions, values = combo[key]
+        # enumeration order: the leftover keys, decoded, sorted by their
+        # positions, then their values, then the new parameter's value.
+        left = sorted((*layout.combo(key), v)
+                      for v, m in enumerate(pending) for key in _set_bits(m))
+        for positions, values, v in left:
             full = [(placed[j], w) for j, w in zip(positions, values)]
             full.append((p_new, v))
             covering = compatible = -1

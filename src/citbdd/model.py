@@ -18,7 +18,9 @@ compares a parameter against one of its values (``=``, ``!=``, ``<``,
 ``<=``, ``>``, ``>=``) or against another parameter (``=``, ``!=`` only).
 Values may be written as labels, quoted labels, or 0-based indices; the
 ordering comparators compare 0-based value indices.  Names and labels that
-are not plain identifiers must be double quoted.
+are not plain identifiers must be double quoted in a constraint; a quoted
+one reads the same on a parameter line, where it may hold ``:``, ``,`` or
+``#``.  No name or label may have surrounding whitespace.
 
 Internally every parameter value is its 0-based index into the declared
 domain.  A constraint tree has four kinds of node, each operator kept as
@@ -216,8 +218,8 @@ def predicate(expr: ConstraintExpr) -> Callable[[Sequence[Optional[int]]], bool]
 class Parameter:
     """A named parameter and its value labels.  It owns the per-parameter
     rules: a non-empty name, a non-empty tuple of labels, no empty and no
-    repeated label, and no label ``-``, which a suite CSV cell reads as an
-    unspecified value."""
+    repeated label, no label ``-`` and no surrounding whitespace, since a
+    suite CSV cell is read stripped and ``-`` is an unspecified value."""
 
     name: str
     domain: tuple[str, ...]
@@ -237,8 +239,11 @@ class Parameter:
             raise ModelError(f"parameter {self.name!r} has an empty value label")
         if len(set(self.domain)) != len(self.domain):
             raise ModelError(f"parameter {self.name!r} has duplicate value labels")
-        # The CSV reader strips a cell before it compares it with "-".
-        if any(v.strip() == "-" for v in self.domain):
+        for text in (self.name, *self.domain):
+            if text != text.strip():
+                raise ModelError(f"parameter {self.name!r}: {text!r} has "
+                                 "surrounding whitespace")
+        if "-" in self.domain:
             raise ModelError(f"parameter {self.name!r} has the value label '-', "
                              "which suite CSV files reserve for an unspecified value")
 
@@ -376,15 +381,27 @@ class _Token:
     col: int
 
 
+# A double-quoted string with backslash escapes: a token in a constraint,
+# and a whole name or label on a parameter line.
+_STRING = r'"(?:[^"\\\n]|\\.)*"'
+_STRING_RE = re.compile(_STRING)
+
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<string>"(?:[^"\\\n]|\\.)*")
+    rf"""(?P<ws>\s+)
+      | (?P<string>{_STRING})
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<number>\d+)
       | (?P<op>=>|!=|<=|>=|&&|\|\||[!=<>()])
     """,
     re.VERBOSE,
 )
+
+
+def _unquote(text: str) -> str:
+    """``text`` stripped, and without its quotes and escapes if it is one
+    quoted string."""
+    text = text.strip()
+    return re.sub(r'\\(.)', r'\1', text[1:-1]) if _STRING_RE.fullmatch(text) else text
 
 
 def _tokenize(text: str, line: int) -> list[_Token]:
@@ -398,7 +415,7 @@ def _tokenize(text: str, line: int) -> list[_Token]:
         if kind != "ws":
             value = m.group()
             if kind == "string":
-                value = re.sub(r'\\(.)', r'\1', value[1:-1])
+                value = _unquote(value)
             tokens.append(_Token(kind, value, line, pos + 1))
         pos = m.end()
     tokens.append(_Token("end", "", line, len(text) + 1))
@@ -510,23 +527,12 @@ def parse_constraint(text: str, model: SutModel, line: int = 1) -> ConstraintExp
     return _ExprParser(_tokenize(text, line), model.params).parse()
 
 
-def _strip_comment(line: str) -> str:
-    # '#' starts a comment unless it appears inside a quoted string.
-    in_string = False
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if in_string:
-            if c == "\\":
-                i += 1
-            elif c == '"':
-                in_string = False
-        elif c == '"':
-            in_string = True
-        elif c == "#":
-            return line[:i]
-        i += 1
-    return line
+# The text before a comment: '#' starts one outside a quoted string.
+_CODE_RE = re.compile(rf'(?:{_STRING}|[^#])*')
+# The name of a parameter line, up to its first ':' outside a quoted
+# string, and each label after it, up to its ',' outside one.
+_NAME_RE = re.compile(rf'(?:{_STRING}|[^:])*')
+_LABEL_RE = re.compile(rf'(?:^|,)((?:{_STRING}|[^,])*)')
 
 
 def parse_model(text: str) -> SutModel:
@@ -540,7 +546,7 @@ def parse_model(text: str) -> SutModel:
     constraint_lines: list[tuple[int, str]] = []
     section = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw).strip()
+        line = _CODE_RE.match(raw).group().strip()
         if not line:
             continue
         header = re.fullmatch(r"\[(.+)\]", line)
@@ -551,13 +557,14 @@ def parse_model(text: str) -> SutModel:
             section = name
             continue
         if section == "PARAMETERS":
-            if ":" not in line:
+            end = _NAME_RE.match(line).end()
+            if end == len(line):
                 raise ModelError("expected 'name: value, value, ...'", lineno)
-            name, _, rest = line.partition(":")
-            name = name.strip()
+            name, rest = _unquote(line[:end]), line[end + 1:]
             if name in names:
                 raise ModelError(f"duplicate parameter {name!r}", lineno)
-            labels = tuple(v.strip() for v in rest.split(",")) if rest.strip() else ()
+            labels = (tuple(_unquote(m[1]) for m in _LABEL_RE.finditer(rest))
+                      if rest.strip() else ())
             try:
                 params.append(Parameter(name, labels))
             except ModelError as exc:

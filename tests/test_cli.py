@@ -264,6 +264,7 @@ class TestSuiteCsvRoundTrip:
 
     def test_quoted_labels_with_commas(self):
         m = parse_model('[PARAMETERS]\nx: "a,b", plain\n')
+        assert m.params[0].domain == ("a,b", "plain")
         buf = io.StringIO()
         write_suite_csv(m, [(0,), (1,)], buf)
         assert read_suite_csv(m, io.StringIO(buf.getvalue())) == [(0,), (1,)]

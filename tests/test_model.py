@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import random
+import re
 from itertools import product
 
 import pytest
@@ -70,6 +71,20 @@ class TestParseModel:
                         '[CONSTRAINTS]\n"my param" != "has space"\n')
         assert m.constraints == (Compare(0, "!=", 0),)
 
+    def test_quoted_parameter_lines(self):
+        # A name or label that is one whole quoted string reads as it does
+        # in a constraint; ':', ',' and '#' inside it are text.
+        m = parse_model('[PARAMETERS]\nt: "Tray 1", Bypass\nu: a, b\n'
+                        '[CONSTRAINTS]\nt = "Tray 1" => u = a\n')
+        assert m.params[0].domain == ("Tray 1", "Bypass")
+        assert m.constraints == (Connective(Compare(0, "=", 0), "=>", Compare(1, "=", 0)),)
+        m = parse_model('[PARAMETERS]\n"Paper size": B4, A4\nu: a, b\n'
+                        '[CONSTRAINTS]\n"Paper size" = B4 => u = a\n')
+        assert m.params[0].name == "Paper size"
+        assert m.constraints == (Connective(Compare(0, "=", 0), "=>", Compare(1, "=", 0)),)
+        m = parse_model('[PARAMETERS]\n"a:b" : "x,y", "say \\"#1\\"", a"b, plain # c\n')
+        assert m.params == (Parameter("a:b", ("x,y", 'say "#1"', 'a"b', "plain")),)
+
     def test_param_to_param(self):
         m = parse_model("[PARAMETERS]\na: x, y\nb: x, y, z\n[CONSTRAINTS]\na = b\na != b\n")
         assert m.constraints == (CompareParams(0, "=", 1), CompareParams(0, "!=", 1))
@@ -134,10 +149,25 @@ class TestParseErrors:
         # labelled "-" would read back as unspecified.
         with pytest.raises(ModelError, match="parameter 'a' has the value label '-'.*line 2"):
             parse_model("[PARAMETERS]\na: -, x\nb: p, q\n")
-        for label in ("-", " - "):
-            with pytest.raises(ModelError, match="parameter 'x' has the value label '-'"):
-                Parameter("x", ("a", label))
+        with pytest.raises(ModelError, match="parameter 'x' has the value label '-'"):
+            Parameter("x", ("a", "-"))
         assert Parameter("x", ("-a", "a-", "--")).domain == ("-a", "a-", "--")
+
+    @pytest.mark.parametrize("name, label, text", [
+        (" a", "x", " a"), ("a\t", "x", "a\t"), ("a", " x", " x"), ("a", "x\n", "x\n"),
+        ("a", " - ", " - ")])
+    def test_surrounding_whitespace_is_rejected(self, name, label, text):
+        # A suite CSV cell is read stripped, so such a name or label could
+        # not be read back.
+        message = f"parameter {name!r}: {text!r} has surrounding whitespace"
+        with pytest.raises(ModelError, match=re.escape(message)):
+            Parameter(name, (label, "y"))
+
+    def test_quoted_whitespace_names_the_line(self):
+        with pytest.raises(ModelError, match="parameter ' a': ' a' .* at line 3"):
+            parse_model('[PARAMETERS]\nb: x, y\n" a": x, y\n')
+        with pytest.raises(ModelError, match="parameter 'a': 'x ' .* at line 2"):
+            parse_model('[PARAMETERS]\na: "x ", y\n')
 
 
 class TestMalformedNodes:
