@@ -20,7 +20,8 @@ Values may be written as labels, quoted labels, or 0-based indices; the
 ordering comparators compare 0-based value indices.  Names and labels that
 are not plain identifiers must be double quoted in a constraint; a quoted
 one reads the same on a parameter line, where it may hold ``:``, ``,`` or
-``#``.  No name or label may have surrounding whitespace.
+``#``, if it is the whole name or label.  No name or label may have
+surrounding whitespace.
 
 Internally every parameter value is its 0-based index into the declared
 domain.  A constraint tree has four kinds of node, each operator kept as
@@ -529,10 +530,11 @@ def parse_constraint(text: str, model: SutModel, line: int = 1) -> ConstraintExp
 
 # The text before a comment: '#' starts one outside a quoted string.
 _CODE_RE = re.compile(rf'(?:{_STRING}|[^#])*')
-# The name of a parameter line, up to its first ':' outside a quoted
-# string, and each label after it, up to its ',' outside one.
-_NAME_RE = re.compile(rf'(?:{_STRING}|[^:])*')
-_LABEL_RE = re.compile(rf'(?:^|,)((?:{_STRING}|[^,])*)')
+# The name of a parameter line and each of its labels: one whole quoted
+# string that runs to the separator, or else the text up to the next ':'
+# or ',', so a stray quote reads as a plain character.
+_NAME_RE = re.compile(rf'\s*({_STRING}(?=\s*:)|[^:]*)\s*:')
+_LABEL_RE = re.compile(rf'(?:^|,)\s*({_STRING}(?=\s*(?:,|$))|[^,]*)')
 
 
 def parse_model(text: str) -> SutModel:
@@ -557,10 +559,10 @@ def parse_model(text: str) -> SutModel:
             section = name
             continue
         if section == "PARAMETERS":
-            end = _NAME_RE.match(line).end()
-            if end == len(line):
+            head = _NAME_RE.match(line)
+            if head is None:
                 raise ModelError("expected 'name: value, value, ...'", lineno)
-            name, rest = _unquote(line[:end]), line[end + 1:]
+            name, rest = _unquote(head[1]), line[head.end():]
             if name in names:
                 raise ModelError(f"duplicate parameter {name!r}", lineno)
             labels = (tuple(_unquote(m[1]) for m in _LABEL_RE.finditer(rest))

@@ -85,6 +85,16 @@ class TestParseModel:
         m = parse_model('[PARAMETERS]\n"a:b" : "x,y", "say \\"#1\\"", a"b, plain # c\n')
         assert m.params == (Parameter("a:b", ("x,y", 'say "#1"', 'a"b', "plain")),)
 
+    def test_stray_quotes_on_parameter_lines_read_as_text(self):
+        # A quote that does not make a whole field quoted never reaches past
+        # the next ':' or ','.
+        m = parse_model('[PARAMETERS]\nx: 13", 15", 17"\n')
+        assert m.params[0].domain == ('13"', '15"', '17"')
+        m = parse_model('[PARAMETERS]\n12" screen: "a, b", c\n')
+        assert m.params == (Parameter('12" screen', ("a, b", "c")),)
+        m = parse_model('[PARAMETERS]\nx: "a" b, "c", d\n')
+        assert m.params[0].domain == ('"a" b', "c", "d")
+
     def test_param_to_param(self):
         m = parse_model("[PARAMETERS]\na: x, y\nb: x, y, z\n[CONSTRAINTS]\na = b\na != b\n")
         assert m.constraints == (CompareParams(0, "=", 1), CompareParams(0, "!=", 1))
