@@ -84,8 +84,6 @@ class TestParseModel:
         assert m.constraints == (Connective(Compare(0, "=", 0), "=>", Compare(1, "=", 0)),)
         m = parse_model('[PARAMETERS]\n"a:b" : "x,y", "say \\"#1\\"", a"b, plain # c\n')
         assert m.params == (Parameter("a:b", ("x,y", 'say "#1"', 'a"b', "plain")),)
-
-    def test_stray_quotes_on_parameter_lines_read_as_text(self):
         # A quote that does not make a whole field quoted never reaches past
         # the next ':' or ','.
         m = parse_model('[PARAMETERS]\nx: 13", 15", 17"\n')
