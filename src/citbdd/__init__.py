@@ -10,7 +10,7 @@ BDD that encodes every valid full and partial test case.
 from .bdd import FALSE, TRUE, BddError, BddManager, Op
 from .encode import (
     CompiledConstraints, Encoding, EncodingMode,
-    compile_constraints, constrained_params, encode_full, make_encoding,
+    compile_constraints, encode_full, make_encoding,
     order_parameters, tree_order,
 )
 from .ipog import TestSuite, VerifyReport, generate, verify

@@ -24,14 +24,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import math
 import signal
 import statistics
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .bdd import BddError
 from .ipog import generate, verify
@@ -49,8 +49,9 @@ class GenerationTimeout(Exception):
 
 
 def _load_model(path: str) -> SutModel:
-    """Read and parse a model file; a parse failure names the file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read and parse a model file, with or without a UTF-8 byte-order
+    mark; a parse failure names the file."""
+    text = Path(path).read_text(encoding="utf-8-sig")
     try:
         return parse_model(text)
     except (ModelError, RecursionError) as exc:
@@ -85,13 +86,23 @@ def _parse_cell(model: SutModel, param: int, cell: str, indices: bool) -> Option
                      f"{model.params[param].name!r}")
 
 
+def _csv_rows(stream: TextIO) -> Iterator[list[str]]:
+    """The rows of a CSV stream; a malformed one, or one past the field
+    size limit, raises ``ValueError`` naming its line."""
+    reader = csv.reader(stream)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"suite CSV line {reader.line_num}: {exc}") from None
+
+
 def read_suite_csv(model: SutModel, stream: TextIO,
                    indices: bool = False) -> list[Assignment]:
     """Read a suite CSV.  A cell is ``-``, a value label or, failing that, a
     0-based index; with ``indices`` (the ``write_suite_csv`` option of the
     same name) every cell is ``-`` or an index and labels are not read, so
     a label that looks like an index cannot shadow it."""
-    reader = csv.reader(stream)
+    reader = _csv_rows(stream)
     try:
         header = next(reader)
     except StopIteration:
@@ -141,7 +152,7 @@ def cmd_generate(model_path: str, t: int, handler_kind: str, fill: bool,
 def cmd_verify(model_path: str, suite_path: str, t: int,
                handler_kind: str = HANDLER_PARTIAL_UP, indices: bool = False) -> int:
     model = _load_model(model_path)
-    with open(suite_path, "r", encoding="utf-8", newline="") as fh:
+    with open(suite_path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = read_suite_csv(model, fh, indices)
     report = verify(model, rows, t, build_handler(model, handler_kind))
     print(report.describe(model))
@@ -221,8 +232,10 @@ def cmd_bench(model_dir: str, t: int, handler_kinds: Sequence[str],
               out_csv: Optional[str] = None) -> int:
     if trim < 0:
         raise ValueError(f"trim must be >= 0, got {trim}")
-    if timeout_secs is not None and not (timeout_secs > 0 and math.isfinite(timeout_secs)):
-        raise ValueError(f"timeout must be a finite number of seconds > 0, got {timeout_secs}")
+    # The interval timer holds at most 2**63 ns, threading.TIMEOUT_MAX seconds.
+    if timeout_secs is not None and not 0 < timeout_secs <= threading.TIMEOUT_MAX:
+        raise ValueError(f"timeout must be seconds > 0 and at most "
+                         f"{threading.TIMEOUT_MAX:g}, got {timeout_secs}")
     directory = Path(model_dir)
     if not directory.is_dir():
         raise ValueError(f"{model_dir!r} is not a directory")

@@ -13,9 +13,10 @@ both BDD validity handlers read it.  Two encodings exist:
 * ``WITH_DASH`` uses ceil(log2(|D|+1)) bits and reserves the all-ones
   codeword of each parameter for the unspecified marker.
 
-Parameters not occurring in any constraint never influence validity and are
-dropped from the encoding.  The encoded parameter order is static, and
-small compiled BDDs need related parameters close together in it.
+Parameters not occurring in any constraint, ``SutModel.dropped``, never
+influence validity and are left out of the encoding.  The encoded parameter
+order is static, and small compiled BDDs need related parameters close
+together in it.
 ``tree_order`` places parameters close when they appear close together in
 the constraint parse trees; ``order_parameters``, the default, starts FORCE
 from that order: it reads each constraint as a hyperedge on its parameters
@@ -61,13 +62,7 @@ class Encoding:
     total_bits: int
     # Per position, each value's (variable, bit) literals, then the dash's under WITH_DASH.
     codes: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
-    dropped: frozenset[int]   # parameters absent from every constraint
     n_params: int
-
-
-def constrained_params(model: SutModel) -> frozenset[int]:
-    """Indices of the parameters occurring in at least one constraint."""
-    return frozenset(p for c in model.constraints for p in occurrences(c))
 
 
 def tree_order(model: SutModel) -> tuple[int, ...]:
@@ -208,9 +203,8 @@ def make_encoding(model: SutModel, mode: EncodingMode,
         order = order_parameters(model)
     else:
         order = tuple(order)
-        constrained = constrained_params(model)
-        if (any(type(p) is not int for p in order) or set(order) != constrained
-                or len(order) != len(constrained)):
+        if (any(type(p) is not int for p in order)
+                or sorted(order) != [p for p in range(model.n) if p not in model.dropped]):
             raise ValueError("order must be a permutation of the constrained parameters")
     sizes = tuple(len(model.params[p].domain) for p in order)
     full = mode is EncodingMode.FULL
@@ -228,7 +222,6 @@ def make_encoding(model: SutModel, mode: EncodingMode,
     # Either way ``order`` holds exactly the constrained parameters.
     return Encoding(mode=mode, order=order, sizes=sizes, widths=tuple(widths),
                     offsets=tuple(offsets), total_bits=total, codes=tuple(codes),
-                    dropped=frozenset(range(model.n)).difference(order),
                     n_params=model.n)
 
 

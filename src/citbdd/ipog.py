@@ -207,8 +207,9 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
 
     # A row that fixes no constrained parameter cannot violate a constraint
     # once the model is known to have a valid test case (checked below), so
-    # it skips the handler call.
-    constrained = [p for p in range(n) if p not in handler.dropped]
+    # it skips the handler call.  ``model.dropped`` holds the unconstrained
+    # parameters, so nothing of the handler is read but ``is_valid``.
+    constrained = [p for p in range(n) if p not in model.dropped]
     is_valid = handler.is_valid
 
     def valid(row: Sequence[Optional[int]]) -> bool:
@@ -242,13 +243,13 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
         # uncovered.  The bits are first marked as b"1" in a b"0" string,
         # lowest key first, and each string is read as one int.
         marks = [bytearray(b"0" * layout.space) for _ in range(dn)]
-        new_dropped = p_new in handler.dropped
+        new_dropped = p_new in model.dropped
         for positions in combinations(range(idx), t - 1):
             subset = [placed[j] for j in positions]
             lowest = sum(map(getitem, base, positions))
             weights = list(map(getitem, weight, positions))
             # The shortcut of ``valid``, decided once for the whole subset.
-            unchecked = new_dropped and all(q in handler.dropped for q in subset)
+            unchecked = new_dropped and all(q in model.dropped for q in subset)
             for prefix in product(*(range(sizes[q]) for q in subset)):
                 key = lowest
                 for q, w, wt in zip(subset, prefix, weights):

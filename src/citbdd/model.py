@@ -296,6 +296,11 @@ class SutModel:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(p.domain) for p in self.params)
 
+    @cached_property
+    def dropped(self) -> frozenset[int]:
+        """The parameters that occur in no constraint: none changes validity."""
+        return frozenset(range(self.n)).difference(*map(occurrences, self.constraints))
+
 
 def eval_constraints(model: SutModel, t: Sequence[Optional[int]]) -> bool:
     """Decide whether the full test case ``t`` satisfies every constraint."""

@@ -83,7 +83,7 @@ class ValidityHandler(ABC):
     """Decides validity of assignments for one model."""
 
     name: str
-    dropped: frozenset[int]  # parameters that occur in no constraint
+    dropped: frozenset[int]  # the model's ``SutModel.dropped``, not read by IPOG
 
     @abstractmethod
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
@@ -116,8 +116,8 @@ class OracleHandler(ValidityHandler):
         for ci, ps in enumerate(self._param_sets):
             for p in ps:
                 self._by_param.setdefault(p, []).append(ci)
-        self._constrained = frozenset().union(*self._param_sets)
-        self.dropped = frozenset(range(model.n)) - self._constrained
+        self.dropped = model.dropped
+        self._constrained = [p for p in range(model.n) if p not in model.dropped]
 
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
         check_assignment(self.model, assignment)
@@ -127,7 +127,7 @@ class OracleHandler(ValidityHandler):
         for ci, rem in enumerate(remaining):
             if rem == 0 and not self._holds[ci](values):
                 return False
-        unfixed = sorted(p for p in self._constrained if values[p] is None)
+        unfixed = [p for p in self._constrained if values[p] is None]
         return self._extends(0, unfixed, values, remaining)
 
     # A method with its state passed in, not a nested closure: a closure
@@ -195,11 +195,11 @@ class ConjunctionHandler(ValidityHandler):
         if enc.mode is not EncodingMode.FULL:
             raise ValueError("conjunction checking expects the FULL encoding")
         self.cc = cc
-        self.dropped = enc.dropped
+        self.dropped = cc.model.dropped
         self._n = cc.model.n
         # ``past[v]`` is False for every index of a dropped parameter's
         # domain, and raises for one past its end or for a non-index.
-        self._dropped = tuple((p, (False,) * cc.model.sizes[p]) for p in sorted(enc.dropped))
+        self._dropped = tuple((p, (False,) * cc.model.sizes[p]) for p in sorted(self.dropped))
         self._and_tag = Op.AND.value
         steps = []
         literals = []
@@ -317,11 +317,11 @@ class TraversalHandler(ValidityHandler):
     def __init__(self, pb: PartialValidityBdd):
         enc = pb.encoding
         self.model = pb.model
-        self.dropped = enc.dropped
+        self.dropped = pb.model.dropped
         self.name = (HANDLER_PARTIAL_UP if pb.quant_order is QuantOrder.UP
                      else HANDLER_PARTIAL_DOWN)
         self._n = pb.model.n
-        self._dropped = tuple((p, (False,) * pb.model.sizes[p]) for p in sorted(enc.dropped))
+        self._dropped = tuple((p, (False,) * pb.model.sizes[p]) for p in sorted(self.dropped))
         level, low, high = pb.manager._level, pb.manager._low, pb.manager._high
         steps = []
         numbers = {pb.g: 0}  # where the walk can stand at the next block

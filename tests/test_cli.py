@@ -102,6 +102,14 @@ class TestGenerateCommand:
         assert main(["generate", str(printer_path), "-t", "9"]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_model_byte_order_mark_is_skipped(self, tmp_path, printer_path):
+        bom_model = tmp_path / "bom.model"
+        bom_model.write_bytes(b"\xef\xbb\xbf" + printer_path.read_bytes())
+        plain_out, bom_out = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        assert main(["generate", str(printer_path), "-t", "2", "-o", str(plain_out)]) == 0
+        assert main(["generate", str(bom_model), "-t", "2", "-o", str(bom_out)]) == 0
+        assert bom_out.read_bytes() == plain_out.read_bytes()
+
     def test_stdout_output(self, printer_path, capsys):
         assert main(["generate", str(printer_path), "-t", "2"]) == 0
         out = capsys.readouterr().out
@@ -238,6 +246,39 @@ class TestVerifyCommand:
         path.write_text("Size,Tray,Type\nB4,Bypass,Thin\n")
         assert main(["verify", str(printer_path), str(path), "-t", "2"]) == 2
         assert "do not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_oversized_field_exits_2_with_one_line(self, tmp_path, printer_path,
+                                                   capsys, line):
+        # A cell past the csv module's field size limit, in the header or a row.
+        lines = ["Paper size,Feed tray,Paper type", "B4,Bypass,Thin", "A4,Bypass,Thin"]
+        lines[line - 1] = "x" * 200_000 + ",Bypass,Thin"
+        path = tmp_path / "suite.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["verify", str(printer_path), str(path), "-t", "2"]) == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(f"error: suite CSV line {line}: field larger than "
+                            r"field limit \(\d+\)\n", captured.err)
+        assert captured.out == ""
+
+    def test_suite_byte_order_mark_is_skipped(self, tmp_path, printer_path, printer,
+                                              capsys):
+        suite = _write_suite(tmp_path, printer, KNOWN_GOOD_PRINTER_SUITE)
+        suite.write_bytes(b"\xef\xbb\xbf" + suite.read_bytes())
+        assert main(["verify", str(printer_path), str(suite), "-t", "2"]) == 0
+        assert "result: OK" in capsys.readouterr().out
+
+    def test_non_utf8_file_exits_2_with_one_line(self, tmp_path, printer_path, capsys):
+        latin1 = tmp_path / "latin1.model"
+        latin1.write_bytes(PRINTER_TEXT.replace("Thin", "Fin\u00e9").encode("latin-1"))
+        suite = tmp_path / "suite.csv"
+        suite.write_bytes("Paper size,Feed tray,Paper type\nB4,Bypass,Fin\u00e9\n"
+                          .encode("latin-1"))
+        for argv in (["generate", str(latin1), "-t", "2"],
+                     ["verify", str(printer_path), str(suite), "-t", "2"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestSuiteCsvRoundTrip:
@@ -416,7 +457,7 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("option", [("--trim", "-1"), ("--timeout", "-5"),
                                         ("--timeout", "0"), ("--timeout", "nan"),
-                                        ("--timeout", "inf")])
+                                        ("--timeout", "inf"), ("--timeout", "1e10")])
     def test_bad_trim_or_timeout_fails_before_any_run(self, tmp_path, printer_path,
                                                       capsys, option):
         model_dir = tmp_path / "suite"

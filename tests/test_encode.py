@@ -13,7 +13,7 @@ from citbdd.bdd import COLLECT_FLOOR, TRUE, BddManager, Op
 from citbdd.encode import (
     EncodingMode,
     _translate, _value_le,
-    compile_constraints, constrained_params, encode_full, make_encoding,
+    compile_constraints, encode_full, make_encoding,
     order_parameters, tree_order,
 )
 from citbdd.ipog import generate, verify
@@ -30,36 +30,6 @@ from test_bdd import build_printer_f, printer_formula
 from test_validity import canonical
 from formula_oracle import all_bits
 from conftest import MODELS_DIR, load_model
-
-
-class TestConstrainedParams:
-    def test_printer_all(self, printer):
-        assert constrained_params(printer) == {0, 1, 2}
-
-    def test_none(self, printer_free):
-        assert constrained_params(printer_free) == frozenset()
-
-    def test_omitted_parameter(self):
-        m = parse_model("""
-            [PARAMETERS]
-            P1: a, b
-            P2: a, b
-            P3: a, b
-            P4: a, b
-            [CONSTRAINTS]
-            P1 = a => P2 = b
-            P4 != a
-        """)
-        assert constrained_params(m) == {0, 1, 3}
-
-    def test_masking_preserves_validity(self):
-        # Values of the dropped parameter never change the constraint verdict.
-        m = parse_model("[PARAMETERS]\na: 0, 1\nb: 0, 1\nfree: 0, 1, 2\n"
-                        "[CONSTRAINTS]\na = 0 => b = 1\n")
-        assert constrained_params(m) == {0, 1}
-        for a, b in product(range(2), repeat=2):
-            verdicts = {eval_constraints(m, (a, b, v)) for v in range(3)}
-            assert len(verdicts) == 1
 
 
 def _bfs_distances(model):
@@ -171,9 +141,10 @@ class TestTreeOrder:
         rng = random.Random(424)
         for _ in range(60):
             m = random_model(rng)
-            if not constrained_params(m):
+            constrained = set(range(m.n)) - m.dropped
+            if not constrained:
                 continue
-            assert tree_order(m) == _greedy_order(constrained_params(m), _bfs_distances(m))
+            assert tree_order(m) == _greedy_order(constrained, _bfs_distances(m))
 
     def test_long_parsed_line(self):
         # 900 relations joined by ``&&`` over 50 parameters: a tree 900
@@ -221,7 +192,7 @@ class TestOrderParameters:
     def test_permutation_of_constrained(self):
         for m in order_models():
             order = order_parameters(m)
-            assert sorted(order) == sorted(constrained_params(m))
+            assert sorted(order) == sorted(set(range(m.n)) - m.dropped)
 
     def test_deterministic(self):
         for m in order_models():
@@ -310,8 +281,13 @@ class TestEncodingLayout:
                 assert total == enc.total_bits
 
     def test_order_must_cover_constrained(self, printer):
+        for order in ((0, 1), (0, 1, 1, 2)):
+            with pytest.raises(ValueError, match="permutation"):
+                make_encoding(printer, EncodingMode.FULL, order=order)
+        # A dropped parameter has no place in the order.
+        m = parse_model("[PARAMETERS]\na: 0, 1\nb: 0, 1\n[CONSTRAINTS]\nb = 0\n")
         with pytest.raises(ValueError, match="permutation"):
-            make_encoding(printer, EncodingMode.FULL, order=(0, 1))
+            make_encoding(m, EncodingMode.FULL, order=(0, 1))
 
     def test_order_entries_must_be_ints(self, printer):
         # ``True == 1`` and ``1.0 == 1``, so only the type tells them apart.
@@ -323,7 +299,7 @@ class TestEncodingLayout:
         m = parse_model("[PARAMETERS]\na: 0, 1\nb: 0, 1\nc: 0, 1\n"
                         "[CONSTRAINTS]\nb = 0\n")
         enc = make_encoding(m, EncodingMode.FULL)
-        assert enc.dropped == {0, 2}
+        assert m.dropped == {0, 2}
         assert enc.order == (1,)
 
     def test_codes_on_every_shipped_model(self):
@@ -468,7 +444,7 @@ class TestChainScale:
 
     def test_order_matches_bfs_graph_oracle(self, chain150):
         assert tree_order(chain150) == _greedy_order(
-            constrained_params(chain150), _bfs_distances(chain150))
+            set(range(chain150.n)) - chain150.dropped, _bfs_distances(chain150))
 
     def test_balanced_f_equals_linear_fold(self, chain150):
         for mode in EncodingMode:

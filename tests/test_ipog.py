@@ -627,24 +627,24 @@ class TestVerifyBadValues:
 
 
 class IsValidOnly:
-    """A handler that lets only ``is_valid`` and ``dropped`` through: reading
-    any other attribute fails the test."""
+    """A handler that lets only ``is_valid`` through: reading any other
+    attribute fails the test."""
 
     def __init__(self, inner):
         object.__setattr__(self, "_inner", inner)
 
     def __getattribute__(self, name):
-        if name not in ("is_valid", "dropped"):
+        if name != "is_valid":
             raise AssertionError(f"handler.{name} read")
         return getattr(object.__getattribute__(self, "_inner"), name)
 
 
 class TestHandlerContract:
-    """``generate`` and ``verify`` call nothing on the handler but
-    ``is_valid``, and read nothing but ``dropped``."""
+    """``generate`` and ``verify`` read nothing on the handler but
+    ``is_valid``: the unconstrained parameters come from ``SutModel.dropped``."""
 
     @pytest.mark.parametrize("name", ["printer", "sparse12", "synth16"])
-    def test_is_valid_and_dropped_suffice(self, name):
+    def test_is_valid_suffices(self, name):
         model = load_model(name)
         handler = build_handler(model, "bdd-partial-up")
         stub = IsValidOnly(handler)

@@ -485,3 +485,35 @@ class TestOccurrences:
         for _ in range(10000):
             expr = Not(expr)
         assert list(occurrences(expr)) == [0]
+
+
+class TestDropped:
+    """``SutModel.dropped``: the parameters that occur in no constraint."""
+
+    def test_printer_none(self, printer):
+        assert printer.dropped == frozenset()
+
+    def test_unconstrained_all(self, printer_free):
+        assert printer_free.dropped == {0, 1, 2}
+
+    def test_omitted_parameter(self):
+        m = parse_model("""
+            [PARAMETERS]
+            P1: a, b
+            P2: a, b
+            P3: a, b
+            P4: a, b
+            [CONSTRAINTS]
+            P1 = a => P2 = b
+            P4 != a
+        """)
+        assert m.dropped == {2}
+
+    def test_masking_preserves_validity(self):
+        # Values of the dropped parameter never change the constraint verdict.
+        m = parse_model("[PARAMETERS]\na: 0, 1\nb: 0, 1\nfree: 0, 1, 2\n"
+                        "[CONSTRAINTS]\na = 0 => b = 1\n")
+        assert m.dropped == {2}
+        for a, b in product(range(2), repeat=2):
+            verdicts = {eval_constraints(m, (a, b, v)) for v in range(3)}
+            assert len(verdicts) == 1

@@ -551,6 +551,11 @@ class TestHandlerFactory:
                         "[CONSTRAINTS]\nb = 0\n")
         for kind in HANDLER_KINDS:
             assert build_handler(m, kind).dropped == {0, 2}
+        models = [load_model(path.stem) for path in sorted(MODELS_DIR.glob("*.model"))]
+        assert len(models) == 12
+        for model in models:
+            for kind in HANDLER_KINDS:
+                assert build_handler(model, kind).dropped == model.dropped, kind
 
     def test_store_freed_without_the_cycle_collector(self):
         # The traversal handler holds only its tables, so the set-up
