@@ -127,29 +127,21 @@ class BddManager:
             if a == TRUE or a == b:
                 return b
         elif op == "or":
-            if a == TRUE or b == TRUE:
-                return TRUE
-            if a == FALSE:
-                return b
-            if b == FALSE:
-                return a
-            if a == b:
-                return a
             if a > b:
                 a, b = b, a
+            if a == TRUE:
+                return TRUE
+            if a == FALSE or a == b:
+                return b
         elif op == "xor":
+            if a > b:
+                a, b = b, a
             if a == b:
                 return FALSE
             if a == FALSE:
                 return b
-            if b == FALSE:
-                return a
             if a == TRUE:
                 return self._negate(b)
-            if b == TRUE:
-                return self._negate(a)
-            if a > b:
-                a, b = b, a
         else:  # "implies"
             if a == FALSE or b == TRUE:
                 return TRUE

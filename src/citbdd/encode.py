@@ -35,6 +35,7 @@ constraint.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -242,9 +243,14 @@ def encode_full(enc: Encoding, assignment: Sequence[Optional[int]]) -> list[int]
                 raise ValueError(f"parameter #{param} is unspecified, which the "
                                  "FULL encoding cannot represent")
             v = size  # the dash's codeword
-        elif not 0 <= v < size:
-            raise ValueError(f"value {v} out of range for parameter #{param} "
-                             f"(domain size {size})")
+        else:
+            try:
+                in_range = 0 <= operator.index(v) < size  # True is 1, 1.0 no index
+            except TypeError:
+                in_range = False
+            if not in_range:
+                raise ValueError(f"value {v} out of range for parameter #{param} "
+                                 f"(domain size {size})")
         bits += (bit for _, bit in codes[v])
     return bits
 

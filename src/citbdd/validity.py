@@ -3,7 +3,7 @@ case satisfying all constraints?
 
 Three interchangeable handlers implement the same contract:
 
-* ``OracleHandler``: exhaustive search over completions (the reference);
+* ``OracleHandler``: backtracking search over completions (the reference);
 * ``ConjunctionHandler``: conjoins the cube of the fixed values with the
   compiled constraint BDD and tests the result for constant falsehood;
 * ``TraversalHandler``: walks a precomputed BDD that accepts every valid
@@ -19,8 +19,9 @@ Three interchangeable handlers implement the same contract:
 
 The check is ``handler.is_valid``, and each handler has one route through
 it.  The oracle validates the assignment with ``check_assignment`` and
-then decides it, each constraint by a predicate compiled once
-(``model.predicate``).  Both BDD handlers read the bit layout from
+then decides it by one backtracking loop, checking each constraint, by a
+predicate compiled once (``model.predicate``), when its last parameter
+is fixed.  Both BDD handlers read the bit layout from
 ``Encoding.codes`` alone.  The conjunction handler keeps the codes as its
 cube table and decides each distinct check once: a check picks the fixed
 values' numbers, and returns the memoized answer when the same fixed
@@ -83,7 +84,7 @@ class ValidityHandler(ABC):
     """Decides validity of assignments for one model."""
 
     name: str
-    dropped: frozenset[int]  # the model's ``SutModel.dropped``, not read by IPOG
+    dropped: frozenset[int]  # ``SutModel.dropped``; read only by perfbench/tracing.py
 
     @abstractmethod
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
@@ -95,12 +96,14 @@ class ValidityHandler(ABC):
 # ---------------------------------------------------------------------------
 
 class OracleHandler(ValidityHandler):
-    """Reference validity check by depth-first search over completions.
+    """Reference validity check by chronological backtracking over completions.
 
     Only parameters occurring in constraints are branched on (values of the
-    others cannot influence any constraint), and a branch is abandoned as
-    soon as some constraint has all of its parameters fixed and evaluates
-    false.  Worst-case cost is exponential in the number of unspecified
+    others cannot influence any constraint), in index order.  Each
+    constraint is checked each time its last unfixed parameter takes a
+    value, so a branch ends at the first constraint it breaks.  One loop
+    counts the values tried per depth, so no recursion limit bounds the
+    search.  Worst-case cost is exponential in the number of unspecified
     constrained parameters; intended for small models and as the reference
     the other handlers are tested against.
     """
@@ -109,54 +112,43 @@ class OracleHandler(ValidityHandler):
 
     def __init__(self, model: SutModel):
         self.model = model
-        self._holds = tuple(predicate(c) for c in model.constraints)
-        # Parameters of each constraint, and the constraints of each parameter.
-        self._param_sets = tuple(frozenset(occurrences(c)) for c in model.constraints)
-        self._by_param: dict[int, list[int]] = {}
-        for ci, ps in enumerate(self._param_sets):
-            for p in ps:
-                self._by_param.setdefault(p, []).append(ci)
         self.dropped = model.dropped
+        self._constraints = tuple((frozenset(occurrences(c)), predicate(c))
+                                  for c in model.constraints)
         self._constrained = [p for p in range(model.n) if p not in model.dropped]
 
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
         check_assignment(self.model, assignment)
         values: list[Optional[int]] = list(assignment)
-        remaining = [sum(1 for p in ps if values[p] is None)
-                     for ps in self._param_sets]
-        for ci, rem in enumerate(remaining):
-            if rem == 0 and not self._holds[ci](values):
-                return False
         unfixed = [p for p in self._constrained if values[p] is None]
-        return self._extends(0, unfixed, values, remaining)
-
-    # A method with its state passed in, not a nested closure: a closure
-    # that calls itself is a reference cycle left to the cycle collector.
-    def _extends(self, k: int, unfixed: list[int], values: list[Optional[int]],
-                 remaining: list[int]) -> bool:
-        """True iff ``values`` extends to a valid test case over
-        ``unfixed[k:]``; ``remaining[ci]`` counts constraint ``ci``'s unfixed
-        parameters."""
-        if k == len(unfixed):
-            return True
-        holds = self._holds
-        p = unfixed[k]
-        touched = self._by_param[p]
-        for v in range(self.model.sizes[p]):
-            values[p] = v
-            ok = True
-            for ci in touched:
-                remaining[ci] -= 1
-            for ci in touched:
-                if remaining[ci] == 0 and not holds[ci](values):
-                    ok = False
-                    break
-            if ok and self._extends(k + 1, unfixed, values, remaining):
-                return True
-            for ci in touched:
-                remaining[ci] += 1
-        values[p] = None
-        return False
+        depth = [0] * len(values)  # k + 1 for ``unfixed[k]``, else 0
+        for k, p in enumerate(unfixed, 1):
+            depth[p] = k
+        # ``due[k + 1]`` holds the constraints to check once ``unfixed[k]``
+        # has a value, ``due[0]`` those with every parameter fixed already.
+        due: list[list] = [[] for _ in range(len(unfixed) + 1)]
+        for params, holds in self._constraints:
+            due[max(depth[p] for p in params)].append(holds)
+        if not all(holds(values) for holds in due[0]):
+            return False
+        sizes = self.model.sizes
+        tried = [0] * len(unfixed)
+        k = 0
+        while 0 <= k < len(unfixed):
+            p = unfixed[k]
+            v = tried[k]
+            if v == sizes[p]:  # no value left to try: back up one level
+                tried[k] = 0
+                k -= 1
+            else:
+                tried[k] = v + 1
+                values[p] = v
+                for holds in due[k + 1]:
+                    if not holds(values):
+                        break
+                else:
+                    k += 1
+        return k == len(unfixed)
 
 
 # ---------------------------------------------------------------------------

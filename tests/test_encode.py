@@ -336,10 +336,16 @@ class TestEncodeFull:
         with pytest.raises(ValueError, match="unspecified"):
             encode_full(enc, (1, None, 2))
 
-    def test_value_out_of_range(self, printer):
+    @pytest.mark.parametrize("bad", [3, -1, 1.0, 1.5, "a"])
+    def test_value_out_of_range(self, printer, bad):
+        # Exactly the indices in range pass, as in check_assignment.
         enc = make_encoding(printer, EncodingMode.FULL, order=(0, 1, 2))
-        with pytest.raises(ValueError, match="out of range"):
-            encode_full(enc, (1, 3, 2))
+        with pytest.raises(ValueError, match="out of range for parameter #1"):
+            encode_full(enc, (1, bad, 2))
+
+    def test_true_is_one(self, printer):
+        enc = make_encoding(printer, EncodingMode.FULL, order=(0, 1, 2))
+        assert encode_full(enc, (1, True, 2)) == encode_full(enc, (1, 1, 2))
 
 
 class TestCompile:

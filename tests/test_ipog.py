@@ -210,7 +210,6 @@ class RecordingHandler(ValidityHandler):
     def __init__(self, inner):
         self.inner = inner
         self.name = inner.name
-        self.dropped = inner.dropped
         self.calls = []
 
     def is_valid(self, assignment):
@@ -390,7 +389,7 @@ def generate_reference(model, t, handler, fill_dashes=False):
     t = _strength(t, n)
     sizes = model.sizes
     order = sorted(range(n), key=lambda i: (-sizes[i], i))
-    constrained = [p for p in range(n) if p not in handler.dropped]
+    constrained = [p for p in range(n) if p not in model.dropped]
     is_valid = handler.is_valid
 
     def valid(row):
@@ -414,13 +413,13 @@ def generate_reference(model, t, handler, fill_dashes=False):
         dn = sizes[p_new]
 
         pending = [set() for _ in range(dn)]
-        new_dropped = p_new in handler.dropped
+        new_dropped = p_new in model.dropped
         for positions in combinations(range(idx), t - 1):
             subset = [placed[j] for j in positions]
             pos_key = 0
             for j in positions:
                 pos_key = pos_key * n + j
-            unchecked = new_dropped and all(q in handler.dropped for q in subset)
+            unchecked = new_dropped and all(q in model.dropped for q in subset)
             for prefix in product(*(range(sizes[q]) for q in subset)):
                 key = pos_key
                 for q, w in zip(subset, prefix):
@@ -615,7 +614,7 @@ class TestVerifyBadValues:
     def test_bad_value_raises_from_the_row_pass(self, kind, position):
         model = parse_model(DROPPED_MODEL)
         handler = build_handler(model, kind)
-        assert handler.dropped == {2}
+        assert model.dropped == {2}
         rows = generate(model, 2, handler).rows
         for bad in (model.sizes[position], -1, 1.0, "a"):
             row = list(rows[1])

@@ -66,6 +66,16 @@ class TestOracle:
         with pytest.raises(ValueError):
             OracleHandler(printer).is_valid((9, None, 0))
 
+    def test_long_chain_at_the_default_recursion_limit(self):
+        # The search is a loop, so 1,199 unfixed parameters need no frames;
+        # on a chain each link tries at most its three values, so each check
+        # is linear.
+        oracle = OracleHandler(chain_model(1200))
+        free = [None] * 1200
+        assert oracle.is_valid(free) is True
+        assert oracle.is_valid([1] + free[1:]) is True  # forces every link to v1
+        assert oracle.is_valid([1] + free[1:-1] + [2]) is False
+
     def test_checks_leave_nothing_for_the_cycle_collector(self, printer):
         oracle = OracleHandler(printer)
         assignments = list(product((None, 0, 1, 2), repeat=3))
@@ -141,7 +151,7 @@ class TestConjunctionCheck:
         mgr = handler.cc.manager
         rng = random.Random(4)
         row = [rng.randrange(size) for size in model.sizes]
-        assert handler.dropped and len(handler.dropped) < model.n
+        assert model.dropped and len(model.dropped) < model.n
         for p in range(model.n):
             for bad in (model.sizes[p], -1, 1.0):
                 before = mgr.node_count
@@ -174,8 +184,8 @@ class TestConjunctionCheck:
         model = load_model("synth20")
         handler = build_handler(model, "bdd-and")
         mgr = handler.cc.manager
-        p = min(handler.dropped) if where == "dropped" else min(
-            set(range(model.n)) - handler.dropped)
+        p = min(model.dropped) if where == "dropped" else min(
+            set(range(model.n)) - model.dropped)
         row = [1] * model.n
         handler.is_valid(row)
         store = (mgr.node_count, len(mgr._cache))
@@ -188,7 +198,7 @@ class TestConjunctionCheck:
         # True is the index 1, so it shares 1's memo entry, whichever comes first.
         model = load_model("synth20")
         first, second = build_handler(model, "bdd-and"), build_handler(model, "bdd-and")
-        p = min(set(range(model.n)) - first.dropped)
+        p = min(set(range(model.n)) - model.dropped)
         rng = random.Random(7)
         for _ in range(50):
             row = [rng.randrange(size) if rng.random() < 0.3 else None for size in model.sizes]
