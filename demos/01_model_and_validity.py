@@ -44,6 +44,12 @@ def main():
         assert len(set(verdicts.values())) == 1
         print(f"  {shown} -> {verdicts}")
 
+    # The traversal handler compiles its walk once, at construction: one
+    # statement per constrained parameter, over jump tables kept beside
+    # the function.  The source holds only positions and node numbers.
+    print("\nthe bdd-partial-up walk, as compiled:")
+    print(handlers[-1].source, end="")
+
 
 if __name__ == "__main__":
     main()

@@ -8,7 +8,8 @@ Three interchangeable handlers implement the same contract:
   compiled constraint BDD and tests the result for constant falsehood;
 * ``TraversalHandler``: walks a precomputed BDD that accepts every valid
   full *and* partial test case, with unspecified values encoded as the
-  all-ones codeword, so each check is a single root-to-terminal traversal.
+  all-ones codeword, so each check is a single root-to-terminal traversal,
+  compiled at construction into straight-line Python.
   ``build_partial_bdd`` builds that BDD from the compiled constraints by
   one fused pass per parameter (``BddManager.extend_dash``), which adds
   the parameter's all-ones codeword wherever some value of the parameter
@@ -37,9 +38,11 @@ nodes and entries the checks leave are freed under
 the store stays bounded however many checks a run makes.  The traversal
 handler reads ``g`` as a multi-valued diagram (Srinivasan, Kam, Malik and
 Brayton, ICCAD 1990): its constructor follows the codes into a dense
-jump table per constrained parameter and keeps only those tables, so the
-set-up manager is freed when the constructor returns, and a check is one
-table step per constrained parameter.  A value is ``None`` or an index into its
+jump table per constrained parameter, keeps only those tables, so the
+set-up manager is freed when the constructor returns, and writes the walk
+over them out as one function, compiled once with ``compile``: a check is
+one statement per constrained parameter, then one range loop over the
+unconstrained ones.  A value is ``None`` or an index into its
 parameter's domain, an index being what ``operator.index`` accepts
 (``True`` is 1, ``1.0`` is no index).  Both BDD handlers range check each
 value in the step that uses it, and send a value that breaks this rule
@@ -49,7 +52,7 @@ assignment.
 
 All handlers agree on every assignment; the traversal handler trades a more
 expensive setup (one ``extend_dash`` pass per parameter, then the jump
-table) for the cheapest per-check cost.
+tables and the compile of the walk) for the cheapest per-check cost.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .bdd import FALSE, TRUE, BddManager, Op
 from .encode import (
@@ -84,7 +87,10 @@ class ValidityHandler(ABC):
     """Decides validity of assignments for one model."""
 
     name: str
-    dropped: frozenset[int]  # ``SutModel.dropped``; read only by perfbench/tracing.py
+    # ``SutModel.dropped``.  Nothing in the package reads it: the counting
+    # wrapper in perfbench/tracing.py copies it, and tests/test_validity.py
+    # checks it.
+    dropped: frozenset[int]
 
     @abstractmethod
     def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
@@ -294,6 +300,32 @@ def build_partial_bdd(cc: CompiledConstraints,
                               quant_order=quant_order, model=cc.model)
 
 
+def _checked(walk: Callable[[Sequence[Optional[int]]], bool],
+             model: SutModel) -> Callable[[Sequence[Optional[int]]], bool]:
+    """``walk`` behind the value rule: a wrong length, a value the walk's
+    table lookups reject and a bad value of an unconstrained parameter all
+    reach ``check_assignment`` for its message."""
+    n = model.n
+    # ``past[v]`` is False for every index of a dropped parameter's
+    # domain, and raises for one past its end or for a non-index.
+    dropped = tuple((p, (False,) * model.sizes[p]) for p in sorted(model.dropped))
+
+    def is_valid(assignment: Sequence[Optional[int]]) -> bool:
+        if len(assignment) != n:
+            check_assignment(model, assignment)
+        try:
+            valid = walk(assignment)
+            for p, past in dropped:
+                v = assignment[p]
+                if v is not None and (v < 0 or past[v]):
+                    check_assignment(model, assignment)
+        except (TypeError, IndexError):
+            check_assignment(model, assignment)
+            raise
+        return valid
+    return is_valid
+
+
 class TraversalHandler(ValidityHandler):
     """Validity by one root-to-terminal walk of the partial-test-case BDD,
     read as a multi-valued decision diagram; no BDD is constructed.
@@ -301,10 +333,26 @@ class TraversalHandler(ValidityHandler):
     From each node the walk can stand on at a parameter's block of bits,
     the constructor follows each of the parameter's ``Encoding.codes``
     through the block, numbering the nodes reached from 0 in order of
-    first reach.  A step is ``(p, size, rows)``: ``rows[node][v]`` is value
-    ``v``'s next node and ``rows[node][size]`` the dash's.  Only the tables
-    and the model are kept, not ``pb``, so the manager dies with set-up.
+    first reach.  A step is ``(p, rows, dash)``: ``rows[node][v]`` is
+    value ``v``'s next node and ``dash[node]`` the dash's.  The walk ends
+    on number ``accept`` exactly when it reaches TRUE (-1 when no walk
+    does).
+
+    The constructor then writes the walk out as one Python function,
+    ``source``, with one statement per step, and compiles it once.  The
+    source holds only ints, the positions and ``accept``; the tables reach
+    it through its globals, so no name or label is ever read as code.  A
+    value too large for its row raises ``IndexError``, and a negative one
+    or a non-index ``TypeError``.  ``is_valid`` is that function behind
+    ``_checked``, which turns those errors into ``check_assignment``'s
+    message and range checks the unconstrained parameters in one loop:
+    written out, they and the error handling would make every compile
+    dearer, the former in proportion to their number.  Only the tables,
+    the model and the function are kept, not ``pb``, so the manager dies
+    with set-up.
     """
+
+    is_valid = None  # bound per instance by the constructor
 
     def __init__(self, pb: PartialValidityBdd):
         enc = pb.encoding
@@ -312,14 +360,13 @@ class TraversalHandler(ValidityHandler):
         self.dropped = pb.model.dropped
         self.name = (HANDLER_PARTIAL_UP if pb.quant_order is QuantOrder.UP
                      else HANDLER_PARTIAL_DOWN)
-        self._n = pb.model.n
-        self._dropped = tuple((p, (False,) * pb.model.sizes[p]) for p in sorted(self.dropped))
         level, low, high = pb.manager._level, pb.manager._low, pb.manager._high
         steps = []
         numbers = {pb.g: 0}  # where the walk can stand at the next block
-        for p, size, codes in zip(enc.order, enc.sizes, enc.codes):
+        for p, codes in zip(enc.order, enc.codes):
             reached: dict[int, int] = {}
             rows = []
+            dash = []
             for node in numbers:  # in the order of their numbers
                 row = []
                 for code in codes:
@@ -328,37 +375,30 @@ class TraversalHandler(ValidityHandler):
                         if level[end] == var:
                             end = high[end] if bit else low[end]
                     row.append(reached.setdefault(end, len(reached)))
+                dash.append(row.pop())  # the dash's code comes last
                 rows.append(tuple(row))
-            steps.append((p, size, tuple(rows)))
+            steps.append((p, tuple(rows), tuple(dash)))
             numbers = reached
-        self._steps = tuple(steps)
+        self.steps = tuple(steps)
         # Every walk ends at a terminal; with none reaching TRUE, none accepts.
-        self._accept = numbers.get(TRUE)
-
-    def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
-        if len(assignment) != self._n:
-            check_assignment(self.model, assignment)
-        node = 0
-        # No early exit at FALSE: every value must still be checked.  A bad
-        # one (a negative one too, which a tuple index would wrap, or one
-        # that raises as no index) goes to check_assignment for its message.
-        try:
-            for p, size, rows in self._steps:
-                v = assignment[p]
-                if v is None:
-                    node = rows[node][size]
-                elif 0 <= v < size:
-                    node = rows[node][v]
-                else:
-                    check_assignment(self.model, assignment)
-            for p, past in self._dropped:
-                v = assignment[p]
-                if v is not None and (v < 0 or past[v]):
-                    check_assignment(self.model, assignment)
-        except (TypeError, IndexError):
-            check_assignment(self.model, assignment)
-            raise
-        return node == self._accept
+        self.accept = numbers.get(TRUE, -1)
+        # No early exit at FALSE: every value must still be checked.  The
+        # lower bound is explicit, since a tuple index of -1 would wrap.
+        self.source = "\n".join([
+            "def walk(a):",
+            "    n = 0",
+            *(f"    n = dash{i}[n] if (v := a[{p}]) is None"
+              f" else rows{i}[n][v if v >= 0 else None]"
+              for i, (p, _, _) in enumerate(self.steps)),
+            f"    return n == {self.accept}",
+            ""])
+        namespace = {}
+        for i, (_, rows, dash) in enumerate(self.steps):
+            namespace[f"rows{i}"] = rows
+            namespace[f"dash{i}"] = dash
+        exec(compile(self.source, f"<{self.name} walk>", "exec"), namespace)
+        # Taken out, since the function left in its own globals is a cycle.
+        self.is_valid = _checked(namespace.pop("walk"), pb.model)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,4 @@
-"""Smoke test: the narrative demos run to completion.
-
-``04_benchmark_handlers.py`` is left out; it times every handler on the
-larger models and takes about ten seconds.
-"""
+"""Smoke test: the narrative demos run to completion."""
 
 import os
 import subprocess
@@ -13,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("01_model_and_validity.py", "02_bdd_playground.py",
-         "03_generate_and_verify.py")
+         "03_generate_and_verify.py", "04_benchmark_handlers.py")
 
 
 @pytest.mark.parametrize("demo", DEMOS)

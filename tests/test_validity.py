@@ -1,16 +1,24 @@
 """Tests for the three validity handlers and the partial-test-case BDD."""
 
+import ast
 import gc
 import hashlib
+import operator
 import random
+import weakref
+from functools import partial
 from itertools import product
+from math import prod
 
 import pytest
 
 from citbdd.bdd import COLLECT_FLOOR, FALSE, TRUE, BddManager
 from citbdd.encode import EncodingMode, compile_constraints, encode_full, make_encoding
 from citbdd.ipog import generate
-from citbdd.model import eval_constraints, parse_model
+from citbdd.model import (
+    Compare, CompareParams, Connective, Not, Parameter, SutModel,
+    check_assignment, eval_constraints, parse_model,
+)
 from citbdd.validity import (
     AND_STORE_LIMIT, HANDLER_KINDS, ConjunctionHandler, OracleHandler,
     QuantOrder, TraversalHandler, build_handler, build_partial_bdd,
@@ -494,6 +502,148 @@ class TestTraversalTable:
             expected = f"value {value} out of range for {name!r}"
         assert outcome(oracle, row) == expected
         assert outcome(build_handler(SKIPPED_BLOCK, kind), row) == expected
+
+
+def walk_reference(handler, assignment):
+    """The traversal check as one loop over ``handler.steps``: the walk
+    that ``TraversalHandler`` writes out as straight-line code."""
+    model = handler.model
+    if len(assignment) != model.n:
+        check_assignment(model, assignment)
+    node = 0
+    try:
+        for p, rows, dash in handler.steps:
+            v = assignment[p]
+            if v is None:
+                node = dash[node]
+            elif 0 <= v < model.sizes[p]:
+                node = rows[node][v]
+            else:
+                check_assignment(model, assignment)
+        for p in sorted(model.dropped):
+            v = assignment[p]
+            if v is not None and not 0 <= operator.index(v) < model.sizes[p]:
+                check_assignment(model, assignment)
+    except (TypeError, IndexError):
+        check_assignment(model, assignment)
+        raise
+    return node == handler.accept
+
+
+def outcome(check, assignment):
+    """The check's answer, or the message of the ValueError it raises."""
+    try:
+        return check(assignment)
+    except ValueError as exc:
+        return str(exc)
+
+
+def probe_values(size):
+    """Values to try at a position with ``size`` values: ``True`` and
+    ``False``, which are 1 and 0, and values that are no index into the
+    domain, among them negatives that a tuple index would wrap into it."""
+    return (-1, -size - 1, -2 * size, 10**20, 0.0, "", [], True, False)
+
+
+def assert_walk_matches_reference(handler, assignments):
+    reference = partial(walk_reference, handler)
+    for a in assignments:
+        assert outcome(handler.is_valid, a) == outcome(reference, a), (handler.name, a)
+        for p, size in enumerate(handler.model.sizes):
+            for value in probe_values(size):
+                row = list(a)
+                row[p] = value
+                assert outcome(handler.is_valid, row) == outcome(reference, row), \
+                    (handler.name, row)
+
+
+# Value and parameter comparisons over four parameters, and a fifth that
+# occurs in no constraint.
+LABELLED_CONSTRAINTS = (
+    Connective(Compare(0, "=", 1), "=>", Not(Compare(1, "=", 2))),
+    Connective(CompareParams(2, "!=", 3), "||", Compare(0, ">=", 2)),
+)
+
+
+def labelled_model(name, label):
+    return SutModel(tuple(Parameter(name(i), tuple(label(i, v) for v in range(size)))
+                          for i, size in enumerate((3, 3, 2, 4, 3))),
+                    LABELLED_CONSTRAINTS)
+
+
+class TestCompiledWalk:
+    """``TraversalHandler.is_valid`` is the walk compiled from the tables,
+    and answers as the table loop it replaces, messages included."""
+
+    def test_matches_table_loop_on_shipped_models(self):
+        paths = sorted(MODELS_DIR.glob("*.model"))
+        assert len(paths) == 12
+        for path in paths:
+            model = load_model(path.stem)
+            rng = random.Random(path.stem)
+            if prod(s + 1 for s in model.sizes) <= 1000:
+                assignments = list(all_assignments(model))
+            else:
+                assignments = [tuple(rng.choice((None, *range(s))) for s in model.sizes)
+                               for _ in range(200)]
+            for kind in ("bdd-partial-up", "bdd-partial-down"):
+                assert_walk_matches_reference(build_handler(model, kind), assignments)
+
+    def test_matches_table_loop_on_random_models(self):
+        rng = random.Random(27)
+        for i in range(200):
+            model = random_model(rng)
+            handler = build_handler(model, ("bdd-partial-up", "bdd-partial-down")[i % 2])
+            reference = partial(walk_reference, handler)
+            for a in all_assignments(model):
+                assert handler.is_valid(a) == reference(a), (model, a)
+            assert_walk_matches_reference(handler, [(None,) * model.n, (0,) * model.n])
+
+    @pytest.mark.parametrize("kind", ["bdd-partial-up", "bdd-partial-down"])
+    def test_source_reads_no_name_or_label(self, kind):
+        # Names and labels reach the walk only through its globals, so
+        # quotes, backslashes, comments and code in them change nothing.
+        trick = '"\'\\# __import__("os")'
+        tricky = build_handler(labelled_model(lambda i: f"{trick}{i}",
+                                              lambda i, v: f"{trick}{v}"), kind)
+        plain = build_handler(labelled_model(lambda i: f"p{i}", lambda i, v: f"v{v}"), kind)
+        assert tricky.source == plain.source
+        constants = [node.value for node in ast.walk(ast.parse(tricky.source))
+                     if isinstance(node, ast.Constant)]
+        assert constants and all(type(c) is int or c is None for c in constants)
+        for a in all_assignments(plain.model):
+            assert tricky.is_valid(a) == plain.is_valid(a), a
+
+    @pytest.mark.parametrize("kind", ["bdd-partial-up", "bdd-partial-down"])
+    def test_walk_dies_with_its_handler(self, printer, kind):
+        # The compiled walk is not left in its own globals, so nothing of
+        # the handler waits for the cycle collector.
+        gc.collect()
+        gc.disable()
+        try:
+            handler = build_handler(printer, kind)
+            generate(printer, 2, handler)
+            refs = [weakref.ref(handler), weakref.ref(handler.is_valid)]
+            del handler
+            assert [ref() for ref in refs] == [None, None]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_long_chain_at_the_default_recursion_limit(self):
+        # One statement per step: 400 of them compile with no nesting.
+        handler = build_handler(chain_model(400), "bdd-partial-up")
+        free = [None] * 400
+        assert handler.is_valid(free) is True
+        assert handler.is_valid([1] + free[1:]) is True  # forces every link to v1
+        assert handler.is_valid([1] + free[1:-1] + [2]) is False
+
+    def test_unconstrained_parameters_keep_one_loop(self):
+        def source_lines(free):
+            text = "[PARAMETERS]\n" + "".join(f"p{i}: a, b\n" for i in range(free + 1))
+            model = parse_model(text + "[CONSTRAINTS]\np0 = a\n")
+            return len(build_handler(model, "bdd-partial-up").source.splitlines())
+        assert source_lines(3000) == source_lines(3)
 
 
 class TestHandlerAgreement:
