@@ -350,12 +350,17 @@ def _quote(name: str) -> str:
 
 
 def format_constraint(expr: ConstraintExpr, model: SutModel) -> str:
-    """Render ``expr`` so that re-parsing it yields a structurally equal tree."""
+    """Render ``expr`` so that re-parsing it yields a structurally equal tree,
+    or raise ``ModelError`` if none does: the parser reads ``x = y`` as a
+    label ``y`` of ``x`` if ``x`` has one."""
     def relation(r: Union[Compare, CompareParams]) -> tuple[str, int]:
         if isinstance(r, Compare):
             left, right = model.params[r.param].name, model.params[r.param].domain[r.value]
         else:
             left, right = model.params[r.left].name, model.params[r.right].name
+            if right in model.params[r.left].domain:
+                raise ModelError(f"cannot write {left!r} {r.op} {right!r}: {right!r} "
+                                 f"is also a label of {left!r}")
         return _quote(left) + " " + r.op + " " + _quote(right), _PREC_ATOM
 
     def connective(op: str, left: tuple[str, int], right: tuple[str, int]) -> tuple[str, int]:

@@ -41,14 +41,17 @@ Brayton, ICCAD 1990): its constructor follows the codes into a dense
 jump table per constrained parameter, keeps only those tables, so the
 set-up manager is freed when the constructor returns, and writes the walk
 over them out as one function, compiled once with ``compile``: a check is
-one statement per constrained parameter, then one range loop over the
-unconstrained ones.  A value is ``None`` or an index into its
-parameter's domain, an index being what ``operator.index`` accepts
-(``True`` is 1, ``1.0`` is no index).  Both BDD handlers range check each
-value in the step that uses it, and send a value that breaks this rule
-or a wrong length to ``check_assignment``, so every handler rejects bad
-input with the same message, and no node is made for a rejected
-assignment.
+one statement per constrained parameter.
+
+A value is ``None`` or an index into its parameter's domain, an index
+being what ``operator.index`` accepts (``True`` is 1, ``1.0`` is no
+index).  Both BDD handlers bind ``is_valid`` to their decision behind
+``_checked``, the one value rule: it tests the length, range checks the
+unconstrained parameters in one loop, then runs the decision, whose
+table lookups raise for a bad constrained value before it reads a memo
+or makes a node.  ``_checked`` sends each of these to
+``check_assignment``, so every handler rejects bad input with the same
+message, and no node is made for a rejected assignment.
 
 All handlers agree on every assignment; the traversal handler trades a more
 expensive setup (one ``extend_dash`` pass per parameter, then the jump
@@ -57,12 +60,11 @@ tables and the compile of the walk) for the cheapest per-check cost.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .bdd import FALSE, TRUE, BddManager, Op
+from .bdd import FALSE, TRUE, BddManager
 from .encode import (
     CompiledConstraints, Encoding, EncodingMode,
     compile_constraints, make_encoding,
@@ -83,7 +85,7 @@ HANDLER_KINDS = (HANDLER_AND, HANDLER_PARTIAL_UP, HANDLER_PARTIAL_DOWN, HANDLER_
 AND_STORE_LIMIT = 1 << 16
 
 
-class ValidityHandler(ABC):
+class ValidityHandler:
     """Decides validity of assignments for one model."""
 
     name: str
@@ -91,10 +93,37 @@ class ValidityHandler(ABC):
     # wrapper in perfbench/tracing.py copies it, and tests/test_validity.py
     # checks it.
     dropped: frozenset[int]
+    # True iff the assignment extends to a constraint-satisfying test case:
+    # a method of the oracle, bound per instance by the BDD handlers.
+    is_valid: Callable[[Sequence[Optional[int]]], bool]
 
-    @abstractmethod
-    def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
-        """True iff the assignment extends to a constraint-satisfying test case."""
+
+def _checked(decide: Callable[[Sequence[Optional[int]]], bool],
+             model: SutModel) -> Callable[[Sequence[Optional[int]]], bool]:
+    """``decide`` behind the value rule, the one check of both BDD kinds:
+    the length test, then one range loop over the unconstrained parameters,
+    then ``decide``.  A wrong length, a bad unconstrained value and the
+    ``TypeError`` or ``IndexError`` that ``decide``'s table lookups raise
+    for a bad constrained value all reach ``check_assignment`` for its
+    message."""
+    n = model.n
+    # ``past[v]`` is False for every index of a dropped parameter's
+    # domain, and raises for one past its end or for a non-index.
+    dropped = tuple((p, (False,) * model.sizes[p]) for p in sorted(model.dropped))
+
+    def is_valid(assignment: Sequence[Optional[int]]) -> bool:
+        if len(assignment) != n:
+            check_assignment(model, assignment)
+        try:
+            for p, past in dropped:
+                v = assignment[p]
+                if v is not None and (v < 0 or past[v]):
+                    check_assignment(model, assignment)
+            return decide(assignment)
+        except (TypeError, IndexError):
+            check_assignment(model, assignment)
+            raise
+    return is_valid
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +196,17 @@ class ConjunctionHandler(ValidityHandler):
     unless the conjunction is constant false.
 
     The constructor numbers every value of every constrained parameter and
-    keeps one entry per constrained parameter, bottom-most first:
-    ``(p, size, numbers)``, ``numbers[v]`` indexing ``_literals``, which
-    holds value ``v``'s ``Encoding.codes`` literals highest variable first.
-    A check takes the fixed values' numbers in one pass, range checking
-    each value, so the tuple of numbers names the fixed constrained values
-    and nothing else.  A check whose tuple was answered before returns the
-    memoized answer.  Any other builds the cube bottom-up and conjoins it
-    with ``f`` by ``BddManager._apply`` under the AND tag.
+    keeps one step per constrained parameter, bottom-most first:
+    ``(p, numbers)``, ``numbers[v]`` indexing ``literals``, which holds
+    value ``v``'s ``Encoding.codes`` literals highest variable first.
+    ``is_valid`` is the closure ``decide`` behind ``_checked``.  A decision
+    looks the fixed values' numbers up in one pass, so the tuple of
+    numbers names the fixed constrained values and nothing else.  A check
+    whose tuple was answered before returns the memoized answer.  Any
+    other builds the cube bottom-up and conjoins it with ``f`` by
+    ``BddManager._apply`` under the AND tag.  ``decide`` holds its tables,
+    the memo and the manager in locals, not through ``self``, so the
+    handler and its check form no cycle.
 
     A memo hit cannot change the store: between two collections, repeating
     the check would find every cube node in the unique table and the
@@ -194,57 +226,38 @@ class ConjunctionHandler(ValidityHandler):
             raise ValueError("conjunction checking expects the FULL encoding")
         self.cc = cc
         self.dropped = cc.model.dropped
-        self._n = cc.model.n
-        # ``past[v]`` is False for every index of a dropped parameter's
-        # domain, and raises for one past its end or for a non-index.
-        self._dropped = tuple((p, (False,) * cc.model.sizes[p]) for p in sorted(self.dropped))
-        self._and_tag = Op.AND.value
         steps = []
         literals = []
         for p, size, codes in reversed(tuple(zip(enc.order, enc.sizes, enc.codes))):
-            steps.append((p, size, tuple(range(len(literals), len(literals) + size))))
+            steps.append((p, tuple(range(len(literals), len(literals) + size))))
             literals += (tuple(reversed(code)) for code in codes)
-        self._steps = tuple(steps)
-        self._literals = tuple(literals)
-        self._answers: dict[tuple[int, ...], bool] = {}
+        answers: dict[tuple[int, ...], bool] = {}
+        mgr, f = cc.manager, cc.f
+        mk, apply = mgr._mk, mgr._apply
         # The first handle a check can make.
-        self._base = cc.manager.node_count + 2
+        base = mgr.node_count + 2
 
-    def is_valid(self, assignment: Sequence[Optional[int]]) -> bool:
-        cc = self.cc
-        if len(assignment) != self._n:
-            check_assignment(cc.model, assignment)
-        picked = []
-        # A non-index raises TypeError or IndexError: check_assignment names it.
-        try:
-            for p, size, numbers in self._steps:
+        def decide(assignment: Sequence[Optional[int]]) -> bool:
+            picked = []
+            for p, numbers in steps:
                 v = assignment[p]
                 if v is not None:
-                    if not 0 <= v < size:
-                        check_assignment(cc.model, assignment)
-                    picked.append(numbers[v])
-            for p, past in self._dropped:
-                v = assignment[p]
-                if v is not None and (v < 0 or past[v]):
-                    check_assignment(cc.model, assignment)
-        except (TypeError, IndexError):
-            check_assignment(cc.model, assignment)
-            raise
-        # Every value has passed, so only now is the memo read or a node made.
-        key = tuple(picked)
-        answer = self._answers.get(key)
-        if answer is not None:
+                    # -1 would wrap; None raises TypeError as a non-index does.
+                    picked.append(numbers[v if v >= 0 else None])
+            # Every value has passed, so only now is the memo read or a node made.
+            key = tuple(picked)
+            answer = answers.get(key)
+            if answer is not None:
+                return answer
+            mgr.collect(base, (), AND_STORE_LIMIT)
+            cube = TRUE
+            for number in key:
+                for var, bit in literals[number]:
+                    cube = mk(var, FALSE, cube) if bit else mk(var, cube, FALSE)
+            answer = answers[key] = apply("and", cube, f) != FALSE
             return answer
-        mgr = cc.manager
-        mgr.collect(self._base, (), AND_STORE_LIMIT)
-        mk = mgr._mk
-        literals = self._literals
-        cube = TRUE
-        for number in key:
-            for var, bit in literals[number]:
-                cube = mk(var, FALSE, cube) if bit else mk(var, cube, FALSE)
-        answer = self._answers[key] = mgr._apply(self._and_tag, cube, cc.f) != FALSE
-        return answer
+
+        self.is_valid = _checked(decide, cc.model)
 
 
 # ---------------------------------------------------------------------------
@@ -300,32 +313,6 @@ def build_partial_bdd(cc: CompiledConstraints,
                               quant_order=quant_order, model=cc.model)
 
 
-def _checked(walk: Callable[[Sequence[Optional[int]]], bool],
-             model: SutModel) -> Callable[[Sequence[Optional[int]]], bool]:
-    """``walk`` behind the value rule: a wrong length, a value the walk's
-    table lookups reject and a bad value of an unconstrained parameter all
-    reach ``check_assignment`` for its message."""
-    n = model.n
-    # ``past[v]`` is False for every index of a dropped parameter's
-    # domain, and raises for one past its end or for a non-index.
-    dropped = tuple((p, (False,) * model.sizes[p]) for p in sorted(model.dropped))
-
-    def is_valid(assignment: Sequence[Optional[int]]) -> bool:
-        if len(assignment) != n:
-            check_assignment(model, assignment)
-        try:
-            valid = walk(assignment)
-            for p, past in dropped:
-                v = assignment[p]
-                if v is not None and (v < 0 or past[v]):
-                    check_assignment(model, assignment)
-        except (TypeError, IndexError):
-            check_assignment(model, assignment)
-            raise
-        return valid
-    return is_valid
-
-
 class TraversalHandler(ValidityHandler):
     """Validity by one root-to-terminal walk of the partial-test-case BDD,
     read as a multi-valued decision diagram; no BDD is constructed.
@@ -351,8 +338,6 @@ class TraversalHandler(ValidityHandler):
     the model and the function are kept, not ``pb``, so the manager dies
     with set-up.
     """
-
-    is_valid = None  # bound per instance by the constructor
 
     def __init__(self, pb: PartialValidityBdd):
         enc = pb.encoding

@@ -367,6 +367,18 @@ class TestRoundTrip:
         finally:
             gc.enable()
 
+    def test_parameter_named_like_a_label_of_the_other(self):
+        # The parser reads ``y`` after ``x =`` as x's label, so no text
+        # gives this comparison back: formatting it refuses.
+        m = SutModel((Parameter("x", ("a", "y")), Parameter("y", ("a", "b"))), ())
+        assert parse_constraint("x = y", m) == Compare(0, "=", 1)
+        with pytest.raises(ModelError, match=r"^cannot write 'x' = 'y': 'y' is also a "
+                                             r"label of 'x'$"):
+            format_constraint(CompareParams(0, "=", 1), m)
+        # The other way round, ``x`` is no label of ``y``.
+        assert parse_constraint(format_constraint(CompareParams(1, "!=", 0), m), m) == \
+            CompareParams(1, "!=", 0)
+
     @settings(max_examples=300, deadline=None)
     @given(_exprs(12))
     def test_random_trees(self, expr):

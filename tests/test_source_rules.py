@@ -280,7 +280,7 @@ CLIENT = ("class Client:\n"
 # the conjunction check builds its cube and conjoins it without the public
 # methods' handle checks, and the traversal handler's constructor follows
 # codes through the nodes into its jump tables.
-ENGINE_READS = {("validity.py", "ConjunctionHandler.is_valid"): {"_mk", "_apply"},
+ENGINE_READS = {("validity.py", "ConjunctionHandler.__init__"): {"_mk", "_apply"},
                 ("validity.py", "TraversalHandler.__init__"): {"_level", "_low", "_high"}}
 
 

@@ -161,7 +161,7 @@ class TestConjunctionCheck:
         row = [rng.randrange(size) for size in model.sizes]
         assert model.dropped and len(model.dropped) < model.n
         for p in range(model.n):
-            for bad in (model.sizes[p], -1, 1.0):
+            for bad in (model.sizes[p], -1, -model.sizes[p] - 1, 10**20, 1.0):
                 before = mgr.node_count
                 with pytest.raises(ValueError, match="out of range"):
                     handler.is_valid(row[:p] + [bad] + row[p + 1:])
@@ -480,7 +480,7 @@ class TestTraversalTable:
             handler.is_valid(assignment)
 
     @pytest.mark.parametrize("kind", HANDLER_KINDS)
-    @pytest.mark.parametrize("value", [1.0, 1.5, "a", True, -1])
+    @pytest.mark.parametrize("value", [1.0, 1.5, "a", True, -1, -4, -6, 10**20, []])
     @pytest.mark.parametrize("position", [0, 2], ids=["constrained", "dropped"])
     def test_one_rule_for_every_value(self, kind, value, position):
         # A value is None or an index in range, an index being what
@@ -614,10 +614,11 @@ class TestCompiledWalk:
         for a in all_assignments(plain.model):
             assert tricky.is_valid(a) == plain.is_valid(a), a
 
-    @pytest.mark.parametrize("kind", ["bdd-partial-up", "bdd-partial-down"])
-    def test_walk_dies_with_its_handler(self, printer, kind):
-        # The compiled walk is not left in its own globals, so nothing of
-        # the handler waits for the cycle collector.
+    @pytest.mark.parametrize("kind", ["bdd-and", "bdd-partial-up", "bdd-partial-down"])
+    def test_check_dies_with_its_handler(self, printer, kind):
+        # The compiled walk is not left in its own globals, and the
+        # conjunction check does not hold its handler, so nothing of the
+        # handler waits for the cycle collector.
         gc.collect()
         gc.disable()
         try:
