@@ -13,17 +13,19 @@ Uncovered combinations are kept as one Python int per value of the new
 parameter, with bit ``key`` set while that combination is uncovered, after
 the bitmap representation of IPOG-D (Lei, Kacker, Kuhn, Okun & Lawrence,
 STVR 2008).  A key stands for t-1 placed parameters and their values.
-The keys are dense: the combinations are laid out by the placement
-position of their first parameter, highest first, then its value, then the
-rest laid out the same way, so an int holds one bit per combination
-whatever the mix of domain sizes.  A key is a sum of one term per slot, so
-horizontal growth builds the int of a row's own keys with O(t * idx)
-big-int operations: it joins one chunk of bits per position for the last
-slot, and for each slot above, it shifts the keys of the later slots into
-place behind each specified position, masked to the positions after it,
-which are the lowest keys.  A candidate
-value covers ``(pending[v] & seen).bit_count()`` combinations, and the
-winner's are XORed out of its int.
+The keys are dense and nested: the combinations are laid out by the
+placement position of their last parameter, lowest first, then its value,
+then the rest laid out the same way, so an int holds one bit per
+combination whatever the mix of domain sizes, and the combinations of the
+parameters placed so far keep their keys, the lowest ones, as more are
+placed.  A key is a sum of one term per slot, so each row keeps the int
+of its own keys from step to step, one int per number of slots: when
+horizontal growth gives the row a value at the new position, each slot's
+int gains the one below it, shifted by one term.  A candidate value covers
+``(pending[v] & seen).bit_count()`` combinations, ``seen`` being the row's
+int of t-1 slots, and the winner's are XORed out of ``pending[v]``.  A row
+that vertical growth fills or appends has its ints built afresh from its
+specified positions.
 
 Vertical growth decodes the leftover keys, the set bits of those ints, to
 positions and values, whose sorted order is the order in which
@@ -53,11 +55,11 @@ exactly its uncovered combinations.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, product, starmap
-from operator import and_, getitem, index, neg
-from typing import Iterator, Optional, Sequence
+from operator import and_, getitem, index
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import Assignment, SutModel
 from .validity import ValidityHandler
@@ -133,49 +135,68 @@ def _set_bits(mask: int) -> Iterator[int]:
 
 
 class _KeyLayout:
-    """Dense int keys for the combinations of ``k`` placed parameters,
-    whose domain sizes are ``sizes`` in placement order.
+    """Dense int keys for the combinations of ``k`` parameters, whose
+    domain sizes are ``sizes`` in placement order.
 
     A combination is ``k`` slots, each a position and a value, positions
-    increasing.  Combinations are laid out by the first slot's position,
-    highest first, then its value, then the rest laid out the same way, so
-    the keys are exactly ``range(space)``.  A key is a sum of one term per
-    slot, ``base[s][j] + w * weight[s][j]`` for position ``j`` holding
-    value ``w`` in slot ``s``: ``base`` counts the combinations of slots
-    ``s`` on whose first position is above ``j``, which come first, and
-    ``weight`` those of the slots after ``s`` above ``j``, which each value
-    of slot ``s`` spans.  That sum lets a row's keys be built by shifting
-    the keys of later slots into place, and the keys of the slots after
-    ``s`` whose positions are above ``j`` are those below ``weight[s][j]``.
-    ``combo`` reads a key back; the pairs it returns sort in enumeration order.
+    increasing.  Combinations are laid out by the last slot's position,
+    lowest first, then its value, then the rest laid out the same way.
+    With ``count[m][a]`` the number of ``m``-slot combinations over the
+    positions below ``a``, the keys are ``range(space)``, and those of the
+    combinations over the first ``a`` positions are ``range(count[k][a])``
+    whatever follows.  A key is a sum of one term per slot,
+    ``base[s][j] + w * weight[s][j]`` for position ``j`` holding value
+    ``w`` in slot ``s``: ``base[s] = count[s + 1]`` counts the
+    combinations of slots up to ``s`` that end below ``j``, which come
+    first, and ``weight[s] = count[s]`` those of the slots before ``s``,
+    which each value of slot ``s`` spans.  ``combo`` reads a key back; the
+    pairs it returns sort in enumeration order.
     """
 
     def __init__(self, sizes: Sequence[int], k: int):
-        n = len(sizes)
-        # count[m][a]: combinations of m slots over positions a and up.
-        count = [[1] * (n + 1)]
+        count = [[1] * (len(sizes) + 1)]
         for _ in range(k):
-            below, here = count[-1], [0] * (n + 1)
-            for a in range(n - 1, -1, -1):
-                here[a] = here[a + 1] + sizes[a] * below[a + 1]
+            below, here = count[-1], [0]
+            for a, d in enumerate(sizes):
+                here.append(here[a] + d * below[a])
             count.append(here)
-        self.base = [count[m][1:] for m in range(k, 0, -1)]
-        self.weight = [count[m - 1][1:] for m in range(k, 0, -1)]
-        self.space = count[k][0]
+        self.count = count
+        self.base = count[1:]
+        self.weight = count[:-1]
+        self.space = count[k][-1]
 
     def combo(self, key: int) -> tuple[list[int], list[int]]:
         """The positions and values of the combination with key ``key``:
         such pairs of ``k``-entry lists compare in the order in which
         ``combinations`` and then ``product`` enumerate them."""
         positions, values = [], []
-        for base, weight in zip(self.base, self.weight):
-            # The keys of positions above j come first, so the position is
-            # the first j whose base, a non-increasing list, is <= key.
-            j = bisect_left(base, -key, key=neg)
+        for base, weight in zip(self.base[::-1], self.weight[::-1]):
+            # The keys of lower positions come first, so the position is
+            # the last j whose base, a non-decreasing list, is <= key: a
+            # plateau is a position at which no combination ends.
+            j = bisect_right(base, key) - 1
             w, key = divmod(key - base[j], weight[j])
             positions.append(j)
             values.append(w)
-        return positions, values
+        return positions[::-1], values[::-1]
+
+    def extend(self, acc: list[int], j: int, w: int) -> None:
+        """Add to a row's keys those it gains when position ``j``, above
+        every position it specifies, takes value ``w``.  ``acc[s]`` has the
+        bit of every ``s``-slot combination the row holds, and ``acc[0]``
+        is 1; each slot takes the keys of the slot before it, ending at
+        ``j``, so the highest is updated first."""
+        for s in range(len(acc) - 1, 0, -1):
+            acc[s] |= acc[s - 1] << (self.base[s - 1][j] + w * self.weight[s - 1][j])
+
+    def keys(self, values: Iterable[Optional[int]]) -> list[int]:
+        """``acc`` of a row holding ``values`` in placement order, ``None``
+        where it is unspecified (see ``extend``)."""
+        acc = [1] + [0] * len(self.base)
+        for j, w in enumerate(values):
+            if w is not None:
+                self.extend(acc, j, w)
+        return acc
 
 
 def _strength(t: int, n: int) -> int:
@@ -198,6 +219,11 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
     fill_dashes): ties in horizontal growth break toward the smallest value
     index, vertical growth merges into the first compatible row, and all
     combination enumeration is lexicographic.
+
+    Each row keeps the keys of its combinations of 1 to t-1 placed
+    parameters as ints, which costs about rows x combinations bits: little
+    on small suites, but tens of MB when both run to thousands.  The 5,656
+    rows of an 11-parameter model of 5 to 8 values at t=4 keep about 30 MB.
     """
     n = model.n
     t = _strength(t, n)
@@ -225,24 +251,24 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
     rows: list[list[Optional[int]]] = []
     masks = {p: _value_masks(rows, p, sizes[p]) for p in order[:t - 1]}
 
-    # The binary string of a row's keys of the last slot is one chunk per
-    # position (see below): chunks[p][w] is that of value w of parameter p.
-    chunks = [{w: b"0" * (d - 1 - w) + b"1" + b"0" * w for w in range(d)}
-              | {None: b"0" * d} for d in sizes]
+    # One layout over the whole placement order: the combinations of the
+    # parameters placed so far keep their keys as more are placed.
+    # accs[i] is the ``acc`` of rows[i] (see ``_KeyLayout.extend``).
+    layout = _KeyLayout([sizes[p] for p in order], t - 1)
+    base, weight = layout.base, layout.weight
+    accs: list[list[int]] = []
 
     buf: list[Optional[int]] = [None] * n
     for idx in range(t - 1, n):
         p_new = order[idx]
         placed = order[:idx]
         dn = sizes[p_new]
-        layout = _KeyLayout(list(map(sizes.__getitem__, placed)), t - 1)
-        base, weight = layout.base, layout.weight
 
         # Valid t-way combinations involving the new parameter: bit ``key``
         # of pending[v] is set while that combination with p_new = v is
         # uncovered.  The bits are first marked as b"1" in a b"0" string,
         # lowest key first, and each string is read as one int.
-        marks = [bytearray(b"0" * layout.space) for _ in range(dn)]
+        marks = [bytearray(b"0" * layout.count[t - 1][idx]) for _ in range(dn)]
         new_dropped = p_new in model.dropped
         for positions in combinations(range(idx), t - 1):
             subset = [placed[j] for j in positions]
@@ -270,28 +296,10 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
         del marks
 
         # Horizontal growth: extend every row with the best valid value.
-        # ``seen`` has the bit of every key the row holds.  A key of the
-        # last slot alone is the position's first key plus the value, and
-        # higher positions come first, so the binary string of those keys
-        # is one chunk per position, in placement order, as long as its
-        # domain, with a 1 at the value.  Each slot s above, from the last
-        # up, shifts into place behind each specified position j the keys
-        # of the later slots whose positions are above j: those below
-        # weight[s][j].
-        placed_chunks = list(map(chunks.__getitem__, placed))
-        upper = [(b, wt, [(1 << c) - 1 for c in wt])
-                 for b, wt in zip(base[-2::-1], weight[-2::-1])]
-        for row in rows:
-            if t == 1:
-                seen = 1  # the one key, of no placed parameter
-            else:
-                seen = int(b"".join(map(dict.__getitem__, placed_chunks,
-                                        map(row.__getitem__, placed))), 2)
-                for b, wt, above in upper:
-                    later, seen = seen, 0
-                    for j, w in enumerate(map(row.__getitem__, placed)):
-                        if w is not None:
-                            seen |= (later & above[j]) << (b[j] + w * wt[j])
+        # The last slot of a row's ``acc`` has the bit of every key the row
+        # holds, and the winning value adds the keys ending at ``idx``.
+        for row, acc in zip(rows, accs):
+            seen = acc[-1]
             # The shortcut of ``valid``, decided once for the whole row.
             free = new_dropped and all(row[p] is None for p in constrained)
             best_v, best, count = None, 0, -1
@@ -305,6 +313,7 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
             row[p_new] = best_v  # None when no valid extension exists
             if best_v is not None:
                 pending[best_v] ^= best
+                layout.extend(acc, idx, best_v)
         masks[p_new] = _value_masks(rows, p_new, dn)
 
         # Vertical growth: place what horizontal growth did not cover, in
@@ -312,6 +321,7 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
         # positions, then their values, then the new parameter's value.
         left = sorted((*layout.combo(key), v)
                       for v, m in enumerate(pending) for key in _set_bits(m))
+        changed = set()  # the rows filled or appended, by index
         for positions, values, v in left:
             full = [(placed[j], w) for j, w in zip(positions, values)]
             full.append((p_new, v))
@@ -324,7 +334,8 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
                 continue  # covered by a row changed earlier in this phase
             while compatible:  # the rows in order, lowest bit first
                 bit = compatible & -compatible
-                r = rows[bit.bit_length() - 1]
+                i = bit.bit_length() - 1
+                r = rows[i]
                 candidate = list(r)
                 for p, w in full:
                     candidate[p] = w
@@ -334,14 +345,21 @@ def generate(model: SutModel, t: int, handler: ValidityHandler,
                             masks[p][None] ^= bit
                             masks[p][w] |= bit
                     r[:] = candidate
+                    changed.add(i)
                     break
                 compatible ^= bit
             else:
                 bit = 1 << len(rows)
                 row = _row(n, [p for p, _ in full], [w for _, w in full])
+                changed.add(len(rows))
                 rows.append(row)
+                accs.append([])  # built below
                 for p in order[:idx + 1]:
                     masks[p][row[p]] |= bit
+        # A merge may fill positions below ``idx``, which ``extend`` cannot
+        # add, so each changed row's keys are built afresh.
+        for i in changed:
+            accs[i] = layout.keys(map(rows[i].__getitem__, order[:idx + 1]))
 
     if fill_dashes:
         for row in rows:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -146,6 +147,22 @@ class TestGenerateEdges:
         # rows; the appended rows keep unspecified entries.
         suite = generate(printer, 2, build_handler(printer, "bdd-partial-up"))
         assert any(None in row for row in suite.rows)
+
+    def test_big_domain_memory(self):
+        # A 10,000-value parameter: generate's bookkeeping must grow with
+        # the domain, not with its square, which would be 100 MB.
+        text = ("[PARAMETERS]\nbig: " + ", ".join(f"v{i}" for i in range(10_000))
+                + "\nb: no, yes\nc: no, yes\n[CONSTRAINTS]\nb = yes => c = no\n")
+        model = parse_model(text)
+        handler = build_handler(model, "bdd-partial-up")
+        tracemalloc.start()
+        try:
+            suite = generate(model, 1, handler)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(suite) == 10_000
+        assert peak < 40_000_000
 
     def test_sorts_parameters_by_domain_size(self):
         m = parse_model("[PARAMETERS]\nsmall: 0, 1\nbig: 0, 1, 2, 3\n"
@@ -580,6 +597,19 @@ class TestGenerateMatchesReference:
         _assert_generate_matches_reference(model, t, handler, f"{big} x {binary}")
 
 
+# The domain sizes test_keys_are_dense_and_decode lays out.
+LAYOUT_SIZES = [[5, 4, 4, 3, 2, 2], [7] * 6, [200] + [2] * 10, [3, 1, 2], []]
+
+
+def _layout_keys(layout, sizes, k):
+    """The key of every k-slot combination over ``sizes``, in enumeration
+    order, read off ``layout``'s per-slot terms."""
+    return [sum(layout.base[s][j] + w * layout.weight[s][j]
+                for s, (j, w) in enumerate(zip(positions, values)))
+            for positions in combinations(range(len(sizes)), k)
+            for values in product(*(range(sizes[j]) for j in positions))]
+
+
 class TestKeyLayout:
     @pytest.mark.parametrize("sizes", [[5, 4, 4, 3, 2, 2], [7] * 6, [200] + [2] * 10,
                                        [3, 1, 2], []])
@@ -598,6 +628,48 @@ class TestKeyLayout:
             # Vertical growth sorts decoded keys to get the enumeration
             # order back, whatever order the keys themselves are in.
             assert sorted(map(layout.combo, range(layout.space))) == decoded
+
+    @pytest.mark.parametrize("sizes", LAYOUT_SIZES)
+    def test_keys_nest(self, sizes):
+        # The combinations over the first a positions keep their keys when
+        # positions are added after them, and take the lowest keys.
+        for k in range(min(len(sizes), 4) + 1):
+            whole = _KeyLayout(sizes, k)
+            for a in range(len(sizes) + 1):
+                keys = _layout_keys(_KeyLayout(sizes[:a], k), sizes[:a], k)
+                assert keys == _layout_keys(whole, sizes[:a], k)
+                assert sorted(keys) == list(range(whole.count[k][a]))
+
+    @pytest.mark.parametrize("sizes", LAYOUT_SIZES)
+    def test_extend_adds_the_keys_of_each_slot(self, sizes):
+        # acc[s] built position by position holds exactly the keys of the
+        # s-combinations of the row's specified positions so far.
+        rng = random.Random(29)
+        n = len(sizes)
+
+        def expected(layout, row):
+            specified = [j for j, w in enumerate(row) if w is not None]
+            return [sum(1 << sum(layout.base[s][j] + row[j] * layout.weight[s][j]
+                                 for s, j in enumerate(positions))
+                        for positions in combinations(specified, m))
+                    for m in range(len(layout.base) + 1)]
+
+        for k in range(min(n, 4) + 1):
+            layout = _KeyLayout(sizes, k)
+            for _ in range(10):
+                row = [None if rng.random() < 0.3 else rng.randrange(d) for d in sizes]
+                acc = [1] + [0] * k
+                for j, w in enumerate(row):
+                    if w is not None:
+                        layout.extend(acc, j, w)
+                    assert acc == expected(layout, row[:j + 1])
+                assert layout.keys(row) == acc
+                # A row whose lowest unspecified position is filled, as a
+                # merge may, is built afresh.
+                if None in row:
+                    j = row.index(None)
+                    row[j] = rng.randrange(sizes[j])
+                    assert layout.keys(row) == expected(layout, row)
 
 
 # A model with a dropped parameter: P3 occurs in no constraint.
