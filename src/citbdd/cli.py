@@ -70,17 +70,19 @@ def _format_row(model: SutModel, row: Assignment, indices: bool) -> list[str]:
     return cells
 
 
-def _parse_cell(model: SutModel, param: int, cell: str, indices: bool) -> Optional[int]:
+def _parse_cell(model: SutModel, param: int, cell: str,
+                labels: dict[str, int]) -> Optional[int]:
+    """``cell`` as a value of ``param``: ``-``, a key of ``labels`` or an index."""
     cell = cell.strip()
     if cell == "-":
         return None
-    domain = model.params[param].domain
-    if not indices and cell in domain:
-        return domain.index(cell)
+    v = labels.get(cell)
+    if v is not None:
+        return v
     # ASCII digits only: str.isdigit also passes "²", which int() rejects.
     if cell.isascii() and cell.isdigit():
         v = int(cell)
-        if v < len(domain):
+        if v < model.sizes[param]:
             return v
     raise ValueError(f"unknown value {cell!r} for parameter "
                      f"{model.params[param].name!r}")
@@ -111,6 +113,9 @@ def read_suite_csv(model: SutModel, stream: TextIO,
     if [h.strip() for h in header] != expected:
         raise ValueError(f"CSV columns {header!r} do not match model parameters "
                          f"{expected!r}")
+    # Each parameter's label-to-index map, built once; empty with ``indices``.
+    labels = [{} if indices else {label: v for v, label in enumerate(p.domain)}
+              for p in model.params]
     rows = []
     for line in reader:
         if not line:
@@ -118,7 +123,7 @@ def read_suite_csv(model: SutModel, stream: TextIO,
         if len(line) != model.n:
             raise ValueError(f"row {len(rows) + 1} has {len(line)} cells, "
                              f"expected {model.n}")
-        rows.append(tuple(_parse_cell(model, p, cell, indices)
+        rows.append(tuple(_parse_cell(model, p, cell, labels[p])
                           for p, cell in enumerate(line)))
     return rows
 

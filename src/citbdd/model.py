@@ -384,25 +384,20 @@ def _operand(formatted: tuple[str, int], min_prec: int) -> str:
 # Tokenizer and parser
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "string" | "number" | "op" | "end"
-    text: str
-    line: int
-    col: int
-
-
 # A double-quoted string with backslash escapes: a token in a constraint,
 # and a whole name or label on a parameter line.
 _STRING = r'"(?:[^"\\\n]|\\.)*"'
 _STRING_RE = re.compile(_STRING)
+_ESCAPE_RE = re.compile(r'\\(.)')
 
+# Whitespace matches no group, so ``finditer`` steps over it; ``bad`` takes
+# any other character that starts no token.
 _TOKEN_RE = re.compile(
-    rf"""(?P<ws>\s+)
-      | (?P<string>{_STRING})
+    rf"""(?P<string>{_STRING})
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<number>\d+)
       | (?P<op>=>|!=|<=|>=|&&|\|\||[!=<>()])
+      | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
@@ -412,138 +407,122 @@ def _unquote(text: str) -> str:
     """``text`` stripped, and without its quotes and escapes if it is one
     quoted string."""
     text = text.strip()
-    return re.sub(r'\\(.)', r'\1', text[1:-1]) if _STRING_RE.fullmatch(text) else text
-
-
-def _tokenize(text: str, line: int) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ModelError(f"unexpected character {text[pos]!r}", line, pos + 1)
-        kind = m.lastgroup
-        if kind != "ws":
-            value = m.group()
-            if kind == "string":
-                value = _unquote(value)
-            tokens.append(_Token(kind, value, line, pos + 1))
-        pos = m.end()
-    tokens.append(_Token("end", "", line, len(text) + 1))
-    return tokens
+    return _ESCAPE_RE.sub(r'\1', text[1:-1]) if _STRING_RE.fullmatch(text) else text
 
 
 class _ExprParser:
-    """Recursive-descent parser for one constraint expression."""
+    """Recursive-descent parser for the constraint lines of one model.
 
-    def __init__(self, tokens: list[_Token], model_params: Sequence[Parameter]):
-        self.tokens = tokens
-        self.pos = 0
-        self.params = model_params
-        self.by_name = {p.name: i for i, p in enumerate(model_params)}
+    A token is a ``(kind, text, column)`` tuple.  Its kind is ``ident``,
+    ``string``, ``number`` or ``end``, or for an operator the operator
+    itself, and the text of a string token is unquoted."""
 
-    def parse(self) -> ConstraintExpr:
+    def __init__(self, params: Sequence[Parameter]):
+        self.params = params
+        self.by_name = {p.name: i for i, p in enumerate(params)}
+
+    def parse(self, text: str, line: int) -> ConstraintExpr:
+        # The whole line is tokenized first, so an unexpected character
+        # wins over a syntax error before it.
+        tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            kind, token = m.lastgroup, m.group()
+            if kind == "bad":
+                raise ModelError(f"unexpected character {token!r}", line, m.start() + 1)
+            if kind == "string":
+                token = _ESCAPE_RE.sub(r'\1', token[1:-1])
+            tokens.append((token if kind == "op" else kind, token, m.start() + 1))
+        tokens.append(("end", "", len(text) + 1))
+        self.tokens, self.pos, self.line = tokens, 0, line
         expr = self._binary(0)
-        tok = self._peek()
-        if tok.kind != "end":
-            raise ModelError(f"unexpected {tok.text!r} after expression", tok.line, tok.col)
+        kind, token, col = self.tokens[self.pos]
+        if kind != "end":
+            raise ModelError(f"unexpected {token!r} after expression", line, col)
         return expr
-
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def _next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def _accept_op(self, text: str) -> bool:
-        tok = self._peek()
-        if tok.kind == "op" and tok.text == text:
-            self.pos += 1
-            return True
-        return False
 
     def _binary(self, min_prec: int) -> ConstraintExpr:
         """Precedence climbing: operands joined by connectives binding at
         ``min_prec`` or tighter."""
         expr = self._unary()
         while True:
-            tok = self._peek()
-            if tok.kind != "op" or tok.text not in _CONNECTIVES:
+            op = self.tokens[self.pos][0]
+            if op not in _CONNECTIVES:
                 return expr
-            prec, right_assoc, _ = _CONNECTIVES[tok.text]
+            prec, right_assoc, _ = _CONNECTIVES[op]
             if prec < min_prec:
                 return expr
             self.pos += 1
-            expr = Connective(expr, tok.text,
-                              self._binary(prec + (not right_assoc)))
+            expr = Connective(expr, op, self._binary(prec + (not right_assoc)))
 
     def _unary(self) -> ConstraintExpr:
-        if self._accept_op("!"):
+        kind = self.tokens[self.pos][0]
+        if kind == "!":
+            self.pos += 1
             return Not(self._unary())
-        if self._accept_op("("):
-            expr = self._binary(0)
-            tok = self._peek()
-            if not self._accept_op(")"):
-                raise ModelError("expected ')'", tok.line, tok.col)
-            return expr
-        return self._relation()
+        if kind != "(":
+            return self._relation()
+        self.pos += 1
+        expr = self._binary(0)
+        kind, _, col = self.tokens[self.pos]
+        if kind != ")":
+            raise ModelError("expected ')'", self.line, col)
+        self.pos += 1
+        return expr
 
     def _relation(self) -> ConstraintExpr:
-        left = self._operand("parameter name")
-        param = self.by_name.get(left.text)
+        _, name, col = self._operand("parameter name")
+        param = self.by_name.get(name)
         if param is None:
-            raise ModelError(f"unknown parameter {left.text!r}", left.line, left.col)
-        op = self._peek()
-        if op.kind != "op" or op.text not in _COMPARE:
-            raise ModelError(f"expected a comparison operator, got {op.text!r}",
-                             op.line, op.col)
-        self._next()
-        right = self._operand("value or parameter name")
-        return self._resolve(param, op, right)
-
-    def _operand(self, what: str) -> _Token:
-        tok = self._peek()
-        if tok.kind in ("ident", "string", "number"):
-            return self._next()
-        raise ModelError(f"expected {what}, got {tok.text or 'end of line'!r}",
-                         tok.line, tok.col)
-
-    def _resolve(self, param: int, op: _Token, right: _Token) -> ConstraintExpr:
+            raise ModelError(f"unknown parameter {name!r}", self.line, col)
+        op, token, op_col = self.tokens[self.pos]
+        if op not in _COMPARE:
+            raise ModelError(f"expected a comparison operator, got {token!r}",
+                             self.line, op_col)
+        self.pos += 1
+        kind, value, col = self._operand("value or parameter name")
         domain = self.params[param].domain
         # A label of the left-hand parameter wins over a parameter name,
         # which wins over a bare 0-based index.
-        if right.text in domain:
-            return Compare(param, op.text, domain.index(right.text))
-        other = self.by_name.get(right.text)
+        if value in domain:
+            return Compare(param, op, domain.index(value))
+        other = self.by_name.get(value)
         if other is not None:
-            if op.text not in _PARAM_COMPARE:
-                raise ModelError(f"ordering comparison {op.text!r} is not allowed "
-                                 "between two parameters", op.line, op.col)
-            return CompareParams(param, op.text, other)
-        if right.kind == "number":
-            value = int(right.text)
-            if not 0 <= value < len(domain):
-                raise ModelError(f"value index {value} out of range for "
-                                 f"{self.params[param].name!r} "
-                                 f"(domain size {len(domain)})", right.line, right.col)
-            return Compare(param, op.text, value)
-        raise ModelError(f"unknown value {right.text!r} for parameter "
-                         f"{self.params[param].name!r}", right.line, right.col)
+            if op not in _PARAM_COMPARE:
+                raise ModelError(f"ordering comparison {op!r} is not allowed "
+                                 "between two parameters", self.line, op_col)
+            return CompareParams(param, op, other)
+        if kind != "number":
+            raise ModelError(f"unknown value {value!r} for parameter {name!r}",
+                             self.line, col)
+        index = int(value)
+        if index >= len(domain):
+            raise ModelError(f"value index {index} out of range for {name!r} "
+                             f"(domain size {len(domain)})", self.line, col)
+        return Compare(param, op, index)
+
+    def _operand(self, what: str) -> tuple[str, str, int]:
+        token = self.tokens[self.pos]
+        if token[0] not in ("ident", "string", "number"):
+            raise ModelError(f"expected {what}, got {token[1] or 'end of line'!r}",
+                             self.line, token[2])
+        self.pos += 1
+        return token
 
 
 def parse_constraint(text: str, model: SutModel, line: int = 1) -> ConstraintExpr:
     """Parse a single constraint expression against an existing model."""
-    return _ExprParser(_tokenize(text, line), model.params).parse()
+    return _ExprParser(model.params).parse(text, line)
 
 
-# The text before a comment: '#' starts one outside a quoted string.
-_CODE_RE = re.compile(rf'(?:{_STRING}|[^#])*')
+# The text before a comment: '#' starts one outside a quoted string.  A
+# quote that opens no string runs to the '#': no later quote on the line
+# closes one either, and so each character is read once.
+_CODE_RE = re.compile(rf'(?:{_STRING}|[^#"])*(?:"[^#]*)?')
 # The name of a parameter line and each of its labels: one whole quoted
 # string that runs to the separator, or else the text up to the next ':'
-# or ',', so a stray quote reads as a plain character.
-_NAME_RE = re.compile(rf'\s*({_STRING}(?=\s*:)|[^:]*)\s*:')
+# or ',', so a stray quote reads as a plain character.  ``_unquote``
+# strips what the name's group holds.
+_NAME_RE = re.compile(rf'\s*({_STRING}\s*|[^:]*):')
 _LABEL_RE = re.compile(rf'(?:^|,)\s*({_STRING}(?=\s*(?:,|$))|[^,]*)')
 
 
@@ -587,8 +566,6 @@ def parse_model(text: str) -> SutModel:
         else:
             raise ModelError("content before any [PARAMETERS]/[CONSTRAINTS] section", lineno)
 
-    constraints = tuple(
-        _ExprParser(_tokenize(src, lineno), params).parse()
-        for lineno, src in constraint_lines
-    )
-    return SutModel(tuple(params), constraints)
+    parser = _ExprParser(params)
+    return SutModel(tuple(params),
+                    tuple(parser.parse(src, lineno) for lineno, src in constraint_lines))

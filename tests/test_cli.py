@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from citbdd import cli
 from citbdd.cli import (
     bench_instance, main, read_suite_csv, trimmed_mean, write_suite_csv,
 )
-from citbdd.model import parse_model
+from citbdd.model import ModelError, parse_model
 
 from conftest import MODELS_DIR, PRINTER_TEXT
 from test_ipog import KNOWN_GOOD_PRINTER_SUITE, UNCONSTRAINED_PRINTER_SUITE
@@ -313,6 +314,28 @@ class TestSuiteCsvRoundTrip:
     def test_empty_file(self, printer):
         with pytest.raises(ValueError, match="missing header"):
             read_suite_csv(printer, io.StringIO(""))
+
+
+@pytest.mark.parametrize("model_text, suite_text, error", [
+    # A quote that opens no string, then 30,000 escaped quotes.
+    ('[PARAMETERS]\na: x, y\n[CONSTRAINTS]\n"' + ' \\"' * 30_000 + "\n", None,
+     "unexpected character"),
+    # A parameter line with no ':'.
+    ("[PARAMETERS]\na" + " " * 128_000 + "b\n", None, "expected 'name: value"),
+    # One row per value of a 50,000-value parameter.
+    ("[PARAMETERS]\np: " + ", ".join(f"v{i}" for i in range(50_000)) + "\nq: 0, 1\n",
+     "p,q\n" + "".join(f"v{i},0\n" for i in range(50_000)), None),
+], ids=["unclosed-quotes", "name-without-colon", "wide-domain-suite"])
+def test_reading_takes_linear_time(model_text, suite_text, error):
+    # Each of these took over 20 s while one read was quadratic in its size.
+    start = time.perf_counter()
+    if error:
+        with pytest.raises(ModelError, match=error):
+            parse_model(model_text)
+    else:
+        rows = read_suite_csv(parse_model(model_text), io.StringIO(suite_text))
+        assert rows == [(v, 0) for v in range(50_000)]
+    assert time.perf_counter() - start < 5
 
 
 class TestTrimmedMean:

@@ -144,6 +144,34 @@ class TestParseErrors:
         with pytest.raises(ModelError, match="unexpected character"):
             parse_model("[PARAMETERS]\na: x, y\n[CONSTRAINTS]\na = x $\n")
 
+    @pytest.mark.parametrize("source, message, col", [
+        ("a = x && b = $", "unexpected character '$'", 14),
+        # The whole line is tokenized before it is parsed.
+        ("a = = x $", "unexpected character '$'", 9),
+        ("a = x b = y", "unexpected 'b' after expression", 7),
+        ('a = x "b"', "unexpected 'b' after expression", 7),
+        ("(a = x && b = y", "expected ')'", 16),
+        ("(a = x b", "expected ')'", 8),
+        ("a && b = y", "expected a comparison operator, got '&&'", 3),
+        ("a", "expected a comparison operator, got ''", 2),
+        ("a = x &&", "expected parameter name, got 'end of line'", 9),
+        ("a = x || )", "expected parameter name, got ')'", 10),
+        ("!a =", "expected value or parameter name, got 'end of line'", 5),
+        ("c = x", "unknown parameter 'c'", 1),
+        ('b = y => "a b" = x', "unknown parameter 'a b'", 10),
+        ("a = z", "unknown value 'z' for parameter 'a'", 5),
+        ('a != "x y"', "unknown value 'x y' for parameter 'a'", 6),
+        ("a = y && a <= b", "ordering comparison '<=' is not allowed between two "
+         "parameters", 12),
+        ("b = 3", "value index 3 out of range for 'b' (domain size 3)", 5),
+    ])
+    def test_constraint_error_sites(self, source, message, col):
+        text = f"# sites\n[PARAMETERS]\na: x, y\nb: x, y, z\n[CONSTRAINTS]\na = x\n{source}\n"
+        with pytest.raises(ModelError) as exc:
+            parse_model(text)
+        assert (str(exc.value), exc.value.line, exc.value.col) == (
+            f"{message} at line 7, column {col}", 7, col)
+
     def test_empty_label_names_the_line(self):
         with pytest.raises(ModelError, match="empty value label at line 2"):
             parse_model("[PARAMETERS]\na: x,\n")
